@@ -44,7 +44,7 @@ const COMMITTED_SEED: u64 = 1;
 const COMMITTED_DIGESTS: [(Workload, u64); 3] = [
     (Workload::DesignSweep, 0x616d_ae18_8a5a_b5cb),
     (Workload::LongTrace, 0xa309_7542_ce41_5dac),
-    (Workload::FaultRecovery, 0xf7bd_d778_2988_eedb),
+    (Workload::FaultRecovery, 0x9945_5127_d655_4e85),
 ];
 
 struct Args {
@@ -142,11 +142,11 @@ struct Block {
     latencies_ms: Vec<f64>,
 }
 
-/// Statistics of a set of whole blocks.  Rates are medians across blocks
-/// of per-block rates: each block holds the same mix, so a burst of host
-/// noise moves a few blocks, not the median.  Latency percentiles pool
-/// every request of the blocks, which spreads them over every request
-/// order the list holds.
+/// Statistics of a set of whole blocks: the median across blocks of each
+/// block's rate or latency percentile.  Each block holds the same mix, so
+/// a spell of host slowdown shorter than half the run moves a few blocks,
+/// not the median.  Percentiles pooled over the whole run moved with the
+/// share of the run such a spell covered.
 struct BlockStats {
     requests_per_s: f64,
     p50_ms: f64,
@@ -156,17 +156,19 @@ struct BlockStats {
 
 impl BlockStats {
     fn of<'a>(blocks: impl Iterator<Item = &'a Block>) -> Self {
-        let (mut rate, mut mcycles, mut latencies) = (vec![], vec![], vec![]);
+        let (mut rate, mut mcycles, mut p50, mut p90) = (vec![], vec![], vec![], vec![]);
         for block in blocks {
             let seconds = (block.end_ns - block.start_ns) as f64 / 1e9;
             rate.push(block.latencies_ms.len() as f64 / seconds);
             mcycles.push(block.sim_cycles as f64 / seconds / 1e6);
-            latencies.extend_from_slice(&block.latencies_ms);
+            let mut latencies = block.latencies_ms.clone();
+            p50.push(quantile(&mut latencies, 0.5));
+            p90.push(quantile(&mut latencies, 0.9));
         }
         BlockStats {
             requests_per_s: median(&rate),
-            p50_ms: quantile(&mut latencies, 0.5),
-            p90_ms: quantile(&mut latencies, 0.9),
+            p50_ms: median(&p50),
+            p90_ms: median(&p90),
             sim_mcycles_per_s: median(&mcycles),
         }
     }
@@ -279,9 +281,51 @@ fn pin_malloc_thresholds() -> bool {
     false
 }
 
+/// Bind the process to the CPU it is running on; that CPU's index when
+/// it took effect.
+///
+/// With `threads = 1` the explorer still runs its search on one scoped
+/// thread per call while the caller waits.  Unbound, the scheduler wakes
+/// that thread on the other, idle CPU, and on a virtual machine the cost
+/// of that wake-up follows the host's load: unbound blocks of the same
+/// `design_sweep` requests took 0.13–0.34 s, bound ones 0.13–0.14 s.
+/// Bound, the waiting caller hands its CPU straight to the worker.
+/// Threads inherit the binding, so this runs before any is started.
+#[cfg(target_os = "linux")]
+fn pin_to_current_cpu() -> Option<usize> {
+    use std::os::raw::{c_int, c_ulong};
+    /// glibc's `cpu_set_t`: a 1024-bit mask in `unsigned long` words.
+    const WORD_BITS: usize = c_ulong::BITS as usize;
+    const MASK_WORDS: usize = 1024 / WORD_BITS;
+    extern "C" {
+        fn sched_getcpu() -> c_int;
+        fn sched_setaffinity(pid: c_int, size: usize, mask: *const c_ulong) -> c_int;
+    }
+    // SAFETY: `sched_getcpu` takes no arguments and only reads the CPU
+    // the calling thread runs on.
+    let cpu = usize::try_from(unsafe { sched_getcpu() }).ok()?;
+    if cpu >= MASK_WORDS * WORD_BITS {
+        return None;
+    }
+    let mut mask = [0 as c_ulong; MASK_WORDS];
+    mask[cpu / WORD_BITS] |= 1 << (cpu % WORD_BITS);
+    // SAFETY: `mask` is a live, correctly sized `cpu_set_t` for the
+    // duration of the call, and pid 0 names the calling process.
+    let done = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+    (done == 0).then_some(cpu)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn pin_to_current_cpu() -> Option<usize> {
+    None
+}
+
 fn main() -> ExitCode {
     let process_start = Instant::now();
+    // Counted before binding, which narrows what the process may use.
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let malloc_pinned = pin_malloc_thresholds();
+    let cpu = pin_to_current_cpu();
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
@@ -289,7 +333,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match bench(&args, process_start, malloc_pinned) {
+    let host = Host {
+        nproc,
+        malloc_pinned,
+        cpu,
+    };
+    match bench(&args, process_start, &host) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(message) => {
@@ -299,8 +348,18 @@ fn main() -> ExitCode {
     }
 }
 
+/// The host, and what the process fixed about it before measuring.
+struct Host {
+    /// CPUs available to the process before it was bound.
+    nproc: usize,
+    /// glibc's malloc thresholds were fixed.
+    malloc_pinned: bool,
+    /// The CPU the process is bound to.
+    cpu: Option<usize>,
+}
+
 /// Run the benchmark; `Ok(false)` when a check failed.
-fn bench(args: &Args, process_start: Instant, malloc_pinned: bool) -> Result<bool, String> {
+fn bench(args: &Args, process_start: Instant, host: &Host) -> Result<bool, String> {
     let workload = args.workload;
 
     // Set up several times; the first set-up counts from process start.
@@ -408,7 +467,7 @@ fn bench(args: &Args, process_start: Instant, malloc_pinned: bool) -> Result<boo
         tally.blocks.len()
     );
 
-    let manifest = manifest(args, &state, &tally, malloc_pinned, steal_pct);
+    let manifest = manifest(args, &state, &tally, host, steal_pct);
     println!("{manifest}");
     write_results(args, &manifest, &metrics, &rec, &traced_requests)?;
     println!(
@@ -421,14 +480,7 @@ fn bench(args: &Args, process_start: Instant, malloc_pinned: bool) -> Result<boo
 }
 
 /// What the numbers were measured with.
-fn manifest(
-    args: &Args,
-    state: &Setup,
-    tally: &Tally,
-    malloc_pinned: bool,
-    steal_pct: f64,
-) -> String {
-    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+fn manifest(args: &Args, state: &Setup, tally: &Tally, host: &Host, steal_pct: f64) -> String {
     let kinds: Vec<String> = tally
         .kinds
         .iter()
@@ -436,14 +488,17 @@ fn manifest(
         .collect();
     format!(
         "{{\"manifest\": {{\"workload\": {}, \"seed\": {}, \"seconds\": {}, \"trace\": {}, \
-         \"rustc\": {}, \"profile\": {}, \"nproc\": {nproc}, \"explorer_threads\": {EXPLORER_THREADS}, \
-         \"malloc_thresholds_pinned\": {malloc_pinned}, \"host_steal_pct\": {}, \"git_rev\": {}, \"warmup_digest\": \"{:016x}\", \"requests\": {{{}}}}}}}",
+         \"rustc\": {}, \"profile\": {}, \"nproc\": {}, \"explorer_threads\": {EXPLORER_THREADS}, \
+         \"malloc_thresholds_pinned\": {}, \"pinned_cpu\": {}, \"host_steal_pct\": {}, \"git_rev\": {}, \"warmup_digest\": \"{:016x}\", \"requests\": {{{}}}}}}}",
         json_string(args.workload.name()),
         args.seed,
         args.seconds,
         u8::from(args.trace),
         json_string(env!("PERFBENCH_RUSTC")),
         json_string(if cfg!(debug_assertions) { "debug" } else { "release" }),
+        host.nproc,
+        host.malloc_pinned,
+        host.cpu.map_or("null".to_owned(), |cpu| cpu.to_string()),
         report::json_number(steal_pct),
         json_string(&report::git_rev()),
         state.digest,

@@ -182,27 +182,82 @@ const LONG_FRAMES: [u64; 3] = [960, 1024, 1088];
 /// Kill times of a `fault_recovery` request, in hyperperiods.
 const KILL_HYPERPERIODS: [u64; 4] = [1, 2, 3, 4];
 
+/// Shuffle `items` in place (Fisher–Yates).
+fn shuffle<T>(items: &mut [T], rng: &mut Rng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i + 1));
+    }
+}
+
+/// Deals each application's fault targets from a deck: every column of
+/// its reference mapping once and, on the two-chip board, the forward
+/// bridge lane once for every two columns.  A deck is reshuffled each
+/// time it runs out.  Dealing rather than drawing gives every seed the
+/// same targets in the same proportions, so seeds differ in order only:
+/// drawn targets made the list's cost differ by a few percent between
+/// seeds.
+struct Dealer {
+    decks: Vec<Vec<FaultTarget>>,
+    dealt: [usize; APPS],
+}
+
+impl Dealer {
+    fn new(columns: &ColumnCounts) -> Self {
+        let decks = columns
+            .iter()
+            .map(|chips| {
+                let mut deck: Vec<FaultTarget> = chips
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(chip, &n)| {
+                        (0..n).map(move |column| FaultTarget::Column { chip, column })
+                    })
+                    .collect();
+                if chips.len() > 1 {
+                    let bridges = deck.len() / 2;
+                    deck.extend(std::iter::repeat_n(FaultTarget::ForwardBridge, bridges));
+                }
+                deck
+            })
+            .collect();
+        Dealer {
+            decks,
+            dealt: [0; APPS],
+        }
+    }
+
+    /// The next target for `app`.
+    fn deal(&mut self, app: usize, rng: &mut Rng) -> FaultTarget {
+        let deck = &mut self.decks[app];
+        let card = self.dealt[app] % deck.len();
+        if card == 0 {
+            shuffle(deck, rng);
+        }
+        self.dealt[app] += 1;
+        deck[card]
+    }
+}
+
 /// Generate the request list of `workload` for `seed`: [`BLOCKS`]
 /// blocks, each a seeded permutation of the workload's strata.
 ///
 /// `columns` gives the shape of each application's reference mapping, so
-/// a drawn fault always names a column that exists.
+/// a dealt fault always names a column that exists.
 pub fn generate(workload: Workload, seed: u64, columns: &ColumnCounts) -> Vec<Request> {
     // Mix the workload into the seed so the three lists differ.
     let mut rng = Rng::new(seed ^ (workload as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407));
+    let mut dealer = Dealer::new(columns);
     let mut list = Vec::with_capacity(BLOCKS * workload.block_len());
     for _ in 0..BLOCKS {
-        let mut strata = strata(workload, &mut rng, columns);
-        for i in (1..strata.len()).rev() {
-            strata.swap(i, rng.below(i + 1));
-        }
+        let mut strata = strata(workload, &mut rng, &mut dealer);
+        shuffle(&mut strata, &mut rng);
         list.extend(strata);
     }
     list
 }
 
 /// One block's requests, before shuffling.
-fn strata(workload: Workload, rng: &mut Rng, columns: &ColumnCounts) -> Vec<Request> {
+fn strata(workload: Workload, rng: &mut Rng, dealer: &mut Dealer) -> Vec<Request> {
     let base = Request {
         app: 0,
         rate: (1, 1),
@@ -244,28 +299,14 @@ fn strata(workload: Workload, rng: &mut Rng, columns: &ColumnCounts) -> Vec<Requ
             .collect(),
         Workload::FaultRecovery => (0..APPS)
             .flat_map(|app| KILL_HYPERPERIODS.map(|kill| (app, kill)))
-            .map(|(app, kill_hyperperiods)| {
-                let chips = &columns[app];
-                // The two-chip board may lose its forward bridge lane
-                // instead of a column.
-                let target = if chips.len() > 1 && rng.below(3) == 0 {
-                    FaultTarget::ForwardBridge
-                } else {
-                    let chip = rng.below(chips.len());
-                    FaultTarget::Column {
-                        chip,
-                        column: rng.below(chips[chip]),
-                    }
-                };
-                Request {
-                    app,
-                    frames: 64,
-                    fault: Some(Fault {
-                        target,
-                        kill_hyperperiods,
-                    }),
-                    ..base
-                }
+            .map(|(app, kill_hyperperiods)| Request {
+                app,
+                frames: 64,
+                fault: Some(Fault {
+                    target: dealer.deal(app, rng),
+                    kill_hyperperiods,
+                }),
+                ..base
             })
             .collect(),
     }
@@ -324,6 +365,32 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(strata.len(), block.len(), "{}", workload.name());
+            }
+        }
+    }
+
+    #[test]
+    fn every_seed_deals_the_same_fault_targets() {
+        let columns = columns();
+        let dealer = Dealer::new(&columns);
+        for seed in [5, 6] {
+            for (app, deck) in dealer.decks.iter().enumerate() {
+                let dealt: Vec<FaultTarget> = generate(Workload::FaultRecovery, seed, &columns)
+                    .iter()
+                    .filter(|r| r.app == app)
+                    .map(|r| r.fault.expect("fault requests carry a fault").target)
+                    .collect();
+                // Every full round of the deck deals each card once, so a
+                // target's count is fixed up to the last, partial round.
+                let rounds = dealt.len() / deck.len();
+                for card in deck {
+                    let count = |ts: &[FaultTarget]| ts.iter().filter(|t| *t == card).count();
+                    let (dealt, copies) = (count(&dealt), count(deck));
+                    assert!(
+                        (rounds * copies..=(rounds + 1) * copies).contains(&dealt),
+                        "app {app} seed {seed}: {card:?} dealt {dealt} times in {rounds} rounds"
+                    );
+                }
             }
         }
     }
