@@ -144,10 +144,10 @@ pub fn run(
     request: &Request,
     rec: &mut Recorder,
 ) -> Result<Outcome, String> {
-    match workload {
-        Workload::DesignSweep => design_sweep(ctx, request, rec),
-        Workload::LongTrace => long_trace(ctx, request, rec),
-        Workload::FaultRecovery => fault_recovery(ctx, request, rec),
+    match (workload, request.fault) {
+        (_, Some(_)) => fault_recovery(ctx, request, rec),
+        (Workload::DesignSweep, None) => design_sweep(ctx, request, rec),
+        (Workload::LongTrace, None) => long_trace(ctx, request, rec),
     }
 }
 
@@ -322,7 +322,7 @@ fn long_trace(ctx: &Context, req: &Request, rec: &mut Recorder) -> Result<Outcom
 
 fn fault_recovery(ctx: &Context, req: &Request, rec: &mut Recorder) -> Result<Outcome, String> {
     let app = &ctx.apps[req.app];
-    let fault = req.fault.ok_or("fault_recovery request without a fault")?;
+    let fault = req.fault.ok_or("fault request without a fault")?;
     let options = MapperOptions {
         iterations: req.frames,
         iteration_rate_hz: app.rate_hz,
