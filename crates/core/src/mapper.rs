@@ -48,7 +48,7 @@ use synchro_power::{
     BusGeometry, InterconnectModel, LeakageModel, Technology, TilePowerModel, VfCurve,
 };
 use synchro_route::{board_flows, BoardRoute, BoardSpec, BusSpec, RouteError, RouteSchedule};
-use synchro_sdf::{ActorId, FaultSpec, Mapping, MappingViolation, SdfError, SdfGraph};
+use synchro_sdf::{gcd, ActorId, FaultSpec, Mapping, MappingViolation, SdfError, SdfGraph};
 use synchro_sim::fast::{ColumnBatch, FastTier, FastTierError, FiringProfile};
 use synchro_sim::{
     Board, BridgeProgram, BridgeTransfer, BusProgram, BusSlot, Chip, Column, ColumnConfig,
@@ -144,6 +144,30 @@ impl MapperError {
             MapperError::Explorer(e) => e.is_resource_exhaustion(),
             MapperError::Incomplete { .. } => true,
             _ => false,
+        }
+    }
+
+    /// A stable machine-readable code naming the failure class, so
+    /// tooling can label rejections without parsing `Display` text.
+    /// Router and explorer failures report their own
+    /// [`RouteError::code`] / [`ExplorerError::code`]; where one of
+    /// those matches a code below (`sdf`, `invalid_mapping`) it names the
+    /// same class of failure.
+    pub fn code(&self) -> &'static str {
+        match self {
+            MapperError::Sdf(_) => "sdf",
+            MapperError::Dou(_) => "dou",
+            MapperError::Column(_) => "column",
+            MapperError::UnplacedActor { .. } => "unplaced_actor",
+            MapperError::DuplicatePlacement { .. } => "duplicate_placement",
+            MapperError::InvalidMapping { .. } => "invalid_mapping",
+            MapperError::Explorer(e) => e.code(),
+            MapperError::Route(e) => e.code(),
+            MapperError::Overflow { .. } => "overflow",
+            MapperError::Incomplete { .. } => "incomplete",
+            MapperError::FastTier(_) => "fast_tier",
+            MapperError::Fault { .. } => "fault",
+            MapperError::SimFault(_) => "sim_fault",
         }
     }
 
@@ -887,14 +911,6 @@ fn report_of(
         occupied_bus_slots: bus.occupied_slots - start.bus.occupied_slots,
         column_stats,
         column_bus,
-    }
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
     }
 }
 
@@ -3166,6 +3182,71 @@ mod tests {
             ..MapperOptions::default()
         };
         compile_board(&g, &m, &options, &BoardConfig::default()).unwrap();
+    }
+
+    #[test]
+    fn every_error_variant_has_a_distinct_code() {
+        use synchro_sdf::SdfError;
+
+        let one_per_variant = [
+            MapperError::Sdf(SdfError::Empty),
+            MapperError::Dou(synchro_dou::DouError::EmptyPattern),
+            MapperError::Column(ColumnError::Bus(synchro_bus::BusError::IndexOutOfRange {
+                what: "split",
+                index: 9,
+                limit: 1,
+            })),
+            MapperError::UnplacedActor { actor: ActorId(0) },
+            MapperError::DuplicatePlacement { actor: ActorId(0) },
+            MapperError::InvalidMapping { violations: vec![] },
+            MapperError::Explorer(ExplorerError::NoSolutions),
+            MapperError::Route(RouteError::Unreachable { from: 0, to: 1 }),
+            MapperError::Overflow { what: "test" },
+            MapperError::Incomplete { ticks: 7 },
+            MapperError::FastTier(FastTierError::NonUniform { firing: 2 }),
+            MapperError::Fault { violations: vec![] },
+            MapperError::SimFault(SimFault::Stalled {
+                reference_cycles: 252,
+                window: 126,
+            }),
+        ];
+        let mut codes = std::collections::BTreeSet::new();
+        for e in &one_per_variant {
+            // No wildcard arm: a new variant fails to compile here until
+            // it joins the list above.
+            match e {
+                MapperError::Sdf(_)
+                | MapperError::Dou(_)
+                | MapperError::Column(_)
+                | MapperError::UnplacedActor { .. }
+                | MapperError::DuplicatePlacement { .. }
+                | MapperError::InvalidMapping { .. }
+                | MapperError::Explorer(_)
+                | MapperError::Route(_)
+                | MapperError::Overflow { .. }
+                | MapperError::Incomplete { .. }
+                | MapperError::FastTier(_)
+                | MapperError::Fault { .. }
+                | MapperError::SimFault(_) => {}
+            }
+            assert!(!e.code().is_empty(), "{e}");
+            assert!(
+                codes.insert(e.code()),
+                "duplicate code {} for {e}",
+                e.code()
+            );
+        }
+        assert_eq!(MapperError::Incomplete { ticks: 1 }.code(), "incomplete");
+        let route = RouteError::PeriodOverflow {
+            demand: 10,
+            capacity: 6,
+        };
+        assert_eq!(MapperError::Route(route.clone()).code(), route.code());
+        let explorer = || ExplorerError::BudgetTooSmall {
+            min_groups: 3,
+            budget: 2,
+        };
+        assert_eq!(MapperError::Explorer(explorer()).code(), explorer().code());
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::error::Error;
 use std::fmt;
 
 use synchro_power::{AreaModel, Technology};
-use synchro_sdf::{ActorId, Mapping, MappingViolation, SdfError, SdfGraph};
+use synchro_sdf::{gcd, ActorId, Mapping, MappingViolation, SdfError, SdfGraph};
 use synchro_trace::{Trace, TraceEvent};
 
 mod degraded;
@@ -386,7 +386,8 @@ pub struct ExplorerConfig {
     pub candidates: TileCandidates,
     /// Search engine selection.
     pub strategy: SearchStrategy,
-    /// Worker threads (0 = one per available core).
+    /// Worker threads (0 = one per available core).  At 1 the search
+    /// runs on the caller's thread and spawns nothing.
     pub threads: usize,
     /// Largest number of adjacent actors the search may fuse into one
     /// column group.  `1` restricts the space to the paper's structure of
@@ -454,7 +455,8 @@ impl ExplorerConfig {
         self
     }
 
-    /// Override the worker-thread count (0 = one per available core).
+    /// Override the worker-thread count (0 = one per available core, 1 =
+    /// search on the caller's thread).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -1320,13 +1322,6 @@ fn chip_subgraph(
     start: usize,
     end: usize,
 ) -> Option<(SdfGraph, u64)> {
-    fn gcd(a: u64, b: u64) -> u64 {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
-        }
-    }
     let rate_factor = reps[start..end].iter().copied().fold(0u64, gcd);
     if rate_factor == 0 {
         return None;

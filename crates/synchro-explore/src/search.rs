@@ -1,16 +1,20 @@
 //! The search engines: exhaustive enumeration of contiguous groupings
 //! (each solved exactly by a per-tile-count dynamic program) for small
 //! graphs, and a dominance-pruned beam search over grouping prefixes for
-//! large ones.  Both fan their work across a `std::thread` worker pool.
+//! large ones.  Both fan their work across `std::thread` workers; a
+//! single-worker search runs on the caller's thread.
 //!
 //! The hot path is allocation-free: interval options live in one
 //! contiguous [`IntervalArena`], the per-grouping dynamic program keeps
 //! backpointer-indexed states in a reusable [`DpScratch`] (winning
 //! allocations are reconstructed only when a grouping actually improves a
 //! worker's incumbent), and the exhaustive engine load-balances skewed
-//! groupings by work-stealing chunks off an atomic cursor.  A clone-based
-//! reference implementation of the grouping DP is retained under
-//! `#[cfg(test)]` and property-tested for exact agreement.
+//! groupings by work-stealing chunks off an atomic cursor.  Beam layers
+//! are bucketed by tile count and reject dominated partials on arrival;
+//! their dominance fronts are binary-searched staircases.  Clone- and
+//! sort-based reference implementations of the grouping DP and the layer
+//! prune are retained under `#[cfg(test)]` and property-tested for exact
+//! agreement.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -342,13 +346,97 @@ impl GroupingJobs {
     }
 }
 
+/// What one exhaustive worker hands back: its per-tile-count incumbents,
+/// transitions examined and groupings comm-pruned.
+struct WorkerTally {
+    local: Vec<Option<LocalBest>>,
+    evaluated: u64,
+    comm_pruned: u64,
+}
+
+/// The shared, read-only state of one exhaustive run; its workers also
+/// share the work-stealing cursor passed to [`ExhaustiveRun::work`].
+struct ExhaustiveRun<'a> {
+    ctx: &'a GraphContext,
+    arena: &'a IntervalArena,
+    jobs: &'a GroupingJobs,
+    budget: u32,
+    comm: Option<CommSpec>,
+    steal_chunk: usize,
+}
+
+impl ExhaustiveRun<'_> {
+    /// One worker's body: steal chunks of grouping jobs off `cursor`
+    /// until none are left, solving each grouping and keeping the
+    /// cheapest candidate per exact tile count.
+    fn work(&self, cursor: &AtomicUsize) -> WorkerTally {
+        let n = self.ctx.n;
+        let cells = self.budget as usize + 1;
+        let job_count = self.jobs.len();
+        let mut scratch = DpScratch::new(self.budget, n);
+        let mut groups: Grouping = Vec::with_capacity(n);
+        let mut tally = WorkerTally {
+            local: (0..cells).map(|_| None).collect(),
+            evaluated: 0,
+            comm_pruned: 0,
+        };
+        loop {
+            let first = cursor.fetch_add(self.steal_chunk, Ordering::Relaxed);
+            if first >= job_count {
+                break;
+            }
+            for job in first..(first + self.steal_chunk).min(job_count) {
+                self.jobs.decode(n, job, &mut groups);
+                // Communication prune: a grouping whose cross-column
+                // traffic cannot fit the TDM frame is unschedulable under
+                // any tile allocation — skip its DP entirely.
+                if let Some(comm) = self.comm {
+                    if self.ctx.grouping_cross_words(&groups) > comm.capacity() {
+                        tally.comm_pruned += 1;
+                        continue;
+                    }
+                }
+                tally.evaluated += grouping_dp(&groups, self.arena, self.budget, &mut scratch);
+                for (tiles, slot) in tally
+                    .local
+                    .iter_mut()
+                    .enumerate()
+                    .take(scratch.reach_max + 1)
+                    .skip(1)
+                {
+                    let Some((power, feasible)) = scratch.cell(tiles) else {
+                        continue;
+                    };
+                    // Jobs are stolen in ascending order, so
+                    // keep-incumbent-on-tie equals lowest-job-wins within
+                    // a worker.
+                    let improves = match slot {
+                        Some(c) => better(power, feasible, c.power, c.feasible),
+                        None => true,
+                    };
+                    if improves {
+                        *slot = Some(LocalBest {
+                            power,
+                            feasible,
+                            job,
+                            allocation: scratch.reconstruct(groups.len(), cells, tiles),
+                        });
+                    }
+                }
+            }
+        }
+        tally
+    }
+}
+
 /// Exhaustively enumerate every contiguous grouping (up to
 /// `max_group_size` actors per group) and solve each exactly, fanning the
 /// groupings across `threads` workers that steal fixed-size chunks off a
 /// shared atomic cursor (so a skewed grouping cannot idle the pool the
-/// way a static split can).  The merged curve holds, for every reachable
-/// exact tile count, the globally cheapest candidate; exact-cost ties go
-/// to the earliest-enumerated grouping, independent of thread count.
+/// way a static split can); a single worker runs on the caller's thread.
+/// The merged curve holds, for every reachable exact tile count, the
+/// globally cheapest candidate; exact-cost ties go to the
+/// earliest-enumerated grouping, independent of thread count.
 ///
 /// `arena` must have been built for `ctx` with the same `budget` and
 /// `max_group_size` (see [`IntervalArena::build`]); callers running
@@ -382,83 +470,40 @@ pub(crate) fn exhaustive(
 
     let cells = budget as usize + 1;
     let workers = threads.max(1).min(job_count.max(1));
-    // Chunks small enough to balance skew, large enough that the atomic
-    // cursor stays cold.
-    let steal_chunk = job_count.div_ceil(workers * 8).clamp(1, 64);
+    let run = ExhaustiveRun {
+        ctx,
+        arena,
+        jobs: &jobs,
+        budget,
+        comm,
+        // Chunks small enough to balance skew, large enough that the
+        // atomic cursor stays cold.
+        steal_chunk: job_count.div_ceil(workers * 8).clamp(1, 64),
+    };
     let cursor = AtomicUsize::new(0);
-    let results: Vec<(Vec<Option<LocalBest>>, u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let jobs = &jobs;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut scratch = DpScratch::new(budget, n);
-                    let mut groups: Grouping = Vec::with_capacity(n);
-                    let mut local: Vec<Option<LocalBest>> = (0..cells).map(|_| None).collect();
-                    let mut evaluated = 0u64;
-                    let mut comm_pruned = 0u64;
-                    loop {
-                        let first = cursor.fetch_add(steal_chunk, Ordering::Relaxed);
-                        if first >= job_count {
-                            break;
-                        }
-                        for job in first..(first + steal_chunk).min(job_count) {
-                            jobs.decode(n, job, &mut groups);
-                            // Communication prune: a grouping whose
-                            // cross-column traffic cannot fit the TDM
-                            // frame is unschedulable under any tile
-                            // allocation — skip its DP entirely.
-                            if let Some(comm) = comm {
-                                if ctx.grouping_cross_words(&groups) > comm.capacity() {
-                                    comm_pruned += 1;
-                                    continue;
-                                }
-                            }
-                            evaluated += grouping_dp(&groups, arena, budget, &mut scratch);
-                            for (tiles, slot) in local
-                                .iter_mut()
-                                .enumerate()
-                                .take(scratch.reach_max + 1)
-                                .skip(1)
-                            {
-                                let Some((power, feasible)) = scratch.cell(tiles) else {
-                                    continue;
-                                };
-                                // Jobs are stolen in ascending order, so
-                                // keep-incumbent-on-tie equals
-                                // lowest-job-wins within a worker.
-                                let improves = match slot {
-                                    Some(c) => better(power, feasible, c.power, c.feasible),
-                                    None => true,
-                                };
-                                if improves {
-                                    *slot = Some(LocalBest {
-                                        power,
-                                        feasible,
-                                        job,
-                                        allocation: scratch.reconstruct(groups.len(), cells, tiles),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    (local, evaluated, comm_pruned)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
+    // A single worker runs on the caller's thread: spawning and joining a
+    // scoped thread costs more than a small search itself.
+    let results: Vec<WorkerTally> = if workers == 1 {
+        vec![run.work(&cursor)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| run.work(&cursor)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
 
     let mut merged: Vec<Option<LocalBest>> = (0..cells).map(|_| None).collect();
     let mut evaluated = 0u64;
     let mut comm_pruned = 0u64;
-    for (local, count, pruned) in results {
-        evaluated += count;
-        comm_pruned += pruned;
-        for (slot, candidate) in merged.iter_mut().zip(local) {
+    for tally in results {
+        evaluated += tally.evaluated;
+        comm_pruned += tally.comm_pruned;
+        for (slot, candidate) in merged.iter_mut().zip(tally.local) {
             let Some(candidate) = candidate else { continue };
             let improves = match slot {
                 Some(c) => {
@@ -585,121 +630,230 @@ impl CommPrune {
     }
 }
 
-/// Dominance-prune a layer: keep, per exact tile count, the cheapest
-/// partial, then drop any partial dominated by a cheaper-or-equal partial
-/// with fewer tiles.  Pruning across tile counts is sound for the best
-/// solution and the Pareto frontier because a prefix with fewer tiles and
-/// less power can absorb any completion its competitor can.
-///
-/// Two staircases survive: partials improving on every earlier partial
-/// overall, and feasible partials improving on every earlier *feasible*
-/// partial (so the cheapest feasible prefix is never shadowed by a
-/// cheaper infeasible one).  Each staircase is capped at `width` entries
-/// independently — a staircase holds at most one partial per tile count,
-/// so `width ≥ budget + 1` never drops anything and the beam stays exact.
-///
-/// With `comm_aware` set, a partial's committed cross words join the
-/// dominance check: each staircase becomes a Pareto front over
-/// `(power, cross)`, because a completion's cross increment is
-/// independent of the prefix — a pricier prefix with fewer committed
-/// cross words may be the only one whose completions fit the TDM frame.
-/// A front may then hold several partials per tile count, so exactness
-/// needs `width` at least the largest per-layer front (the agreement
-/// property test sizes it generously); the cap discards the
-/// highest-power entries first.
-///
-/// Returns the number of partials discarded.
-fn prune_layer(layer: &mut Vec<Partial>, width: usize, comm_aware: bool) -> u64 {
-    layer.sort_by(|a, b| {
-        a.tiles
-            .cmp(&b.tiles)
-            .then(a.power.partial_cmp(&b.power).expect("finite power"))
-            .then(a.cross.cmp(&b.cross))
-    });
-    let before = layer.len();
-    let mut any_staircase: Vec<Partial> = Vec::new();
-    let mut feasible_staircase: Vec<Partial> = Vec::new();
-    if comm_aware {
-        // Pareto fronts over (power, cross).  Entries are processed in
-        // (tiles, power, cross) order, so every kept entry has no more
-        // tiles than the candidate it is tested against; power and cross
-        // must be checked explicitly.
-        let mut any_front: Vec<(f64, u64)> = Vec::new();
-        let mut feasible_front: Vec<(f64, u64)> = Vec::new();
-        let dominated = |front: &[(f64, u64)], p: &Partial| {
-            front
-                .iter()
-                .any(|&(power, cross)| power <= p.power && cross <= p.cross)
-        };
-        for partial in layer.drain(..) {
-            let improves_any = !dominated(&any_front, &partial);
-            let improves_feasible = partial.feasible && !dominated(&feasible_front, &partial);
-            if improves_any {
-                any_front.push((partial.power, partial.cross));
-            }
-            if improves_feasible {
-                feasible_front.push((partial.power, partial.cross));
-            }
-            if improves_feasible {
-                feasible_staircase.push(partial);
-            } else if improves_any {
-                any_staircase.push(partial);
-            }
-        }
-        // Cap each front by discarding the highest-power entries (the
-        // final sort below restores (tiles, power, cross) order).
-        for staircase in [&mut any_staircase, &mut feasible_staircase] {
-            if staircase.len() > width {
-                staircase.sort_by(|a, b| {
-                    b.power
-                        .partial_cmp(&a.power)
-                        .expect("finite power")
-                        .then(a.tiles.cmp(&b.tiles))
-                        .then(a.cross.cmp(&b.cross))
-                });
-                staircase.drain(..staircase.len() - width);
-            }
-        }
-    } else {
-        let mut best_any = f64::INFINITY;
-        let mut best_feasible = f64::INFINITY;
-        for partial in layer.drain(..) {
-            let improves_any = partial.power < best_any;
-            let improves_feasible = partial.feasible && partial.power < best_feasible;
-            if improves_any {
-                best_any = partial.power;
-            }
-            if improves_feasible {
-                best_feasible = partial.power;
-            }
-            // A feasible partial on both staircases is stored once, on the
-            // feasible one (it survives the same cap either way: both
-            // staircases are strictly power-descending in tile order).
-            if improves_feasible {
-                feasible_staircase.push(partial);
-            } else if improves_any {
-                any_staircase.push(partial);
-            }
-        }
-        // Powers are strictly descending along each staircase; keep the
-        // lowest-power tail of each.
-        for staircase in [&mut any_staircase, &mut feasible_staircase] {
-            if staircase.len() > width {
-                staircase.drain(..staircase.len() - width);
-            }
+/// A `(power, cross)` Pareto front kept as a staircase: power strictly
+/// ascending, cross strictly descending.  Whether a point is dominated
+/// (some step no higher in both) is one binary search: the last step at
+/// or below its power holds the least cross of every step that could
+/// dominate it.  Without a `CommSpec` every cross is 0 and the staircase
+/// degenerates to a single cheapest step.
+#[derive(Debug, Default)]
+struct Staircase {
+    steps: Vec<(f64, u64)>,
+}
+
+impl Staircase {
+    fn clear(&mut self) {
+        self.steps.clear();
+    }
+
+    /// Is `(power, cross)` dominated by (or equal to) some step?
+    #[inline]
+    fn dominates(&self, power: f64, cross: u64) -> bool {
+        let at_or_below = self.steps.partition_point(|&(p, _)| p <= power);
+        at_or_below > 0 && self.steps[at_or_below - 1].1 <= cross
+    }
+
+    /// Add a point the staircase does not dominate, dropping the steps it
+    /// dominates (a contiguous run starting at its power).
+    fn insert(&mut self, power: f64, cross: u64) {
+        let lo = self.steps.partition_point(|&(p, _)| p < power);
+        let hi = lo + self.steps[lo..].partition_point(|&(_, c)| c >= cross);
+        if lo == hi {
+            self.steps.insert(lo, (power, cross));
+        } else {
+            self.steps[lo] = (power, cross);
+            self.steps.drain(lo + 1..hi);
         }
     }
-    let mut kept = any_staircase;
-    kept.append(&mut feasible_staircase);
-    kept.sort_by(|a, b| {
-        a.tiles
-            .cmp(&b.tiles)
-            .then(a.power.partial_cmp(&b.power).expect("finite power"))
-            .then(a.cross.cmp(&b.cross))
-    });
-    let pruned = (before - kept.len()) as u64;
-    *layer = kept;
-    pruned
+}
+
+/// One target layer of the beam: its partials bucketed by exact tile
+/// count, each bucket in insertion order, plus per-bucket admission
+/// fronts over everything the bucket has admitted (`any`) and over its
+/// feasible partials alone (`feasible`).
+///
+/// A newcomer dominated at its own tile count by an earlier admitted
+/// partial — by an earlier *feasible* one if the newcomer is feasible —
+/// is rejected on arrival: that earlier partial precedes it in
+/// [`BucketLayer::prune_into`]'s walk and would make the walk drop it
+/// anyway.  Rejections count towards `states_pruned`, so the counters
+/// match a prune of the whole unfiltered layer.
+struct BucketLayer {
+    buckets: Vec<Vec<Partial>>,
+    any: Vec<Staircase>,
+    feasible: Vec<Staircase>,
+    /// Newcomers rejected since the last prune.
+    rejected: u64,
+}
+
+impl BucketLayer {
+    fn new(cells: usize) -> Self {
+        BucketLayer {
+            buckets: (0..cells).map(|_| Vec::new()).collect(),
+            any: (0..cells).map(|_| Staircase::default()).collect(),
+            feasible: (0..cells).map(|_| Staircase::default()).collect(),
+            rejected: 0,
+        }
+    }
+
+    /// Admit `partial` into its tile bucket unless an earlier admitted
+    /// partial there already dominates it.
+    #[inline]
+    fn admit(&mut self, partial: Partial) {
+        let tiles = partial.tiles as usize;
+        let (power, cross) = (partial.power, partial.cross);
+        let any = &mut self.any[tiles];
+        if partial.feasible {
+            let feasible = &mut self.feasible[tiles];
+            if feasible.dominates(power, cross) {
+                self.rejected += 1;
+                return;
+            }
+            feasible.insert(power, cross);
+            if !any.dominates(power, cross) {
+                any.insert(power, cross);
+            }
+        } else {
+            if any.dominates(power, cross) {
+                self.rejected += 1;
+                return;
+            }
+            any.insert(power, cross);
+        }
+        self.buckets[tiles].push(partial);
+    }
+
+    /// Dominance-prune the layer into `kept` (cleared first) and empty it
+    /// for reuse: keep, per exact tile count, the cheapest partial, then
+    /// drop any partial dominated by a cheaper-or-equal partial with
+    /// fewer tiles.  Pruning across tile counts is sound for the best
+    /// solution and the Pareto frontier because a prefix with fewer
+    /// tiles and less power can absorb any completion its competitor
+    /// can.
+    ///
+    /// Two staircases survive: partials improving on every earlier
+    /// partial overall, and feasible partials improving on every earlier
+    /// *feasible* partial (so the cheapest feasible prefix is never
+    /// shadowed by a cheaper infeasible one).  Each staircase is capped at
+    /// `width` entries independently, discarding its highest-power
+    /// entries — without a `CommSpec` a staircase holds at most one
+    /// partial per tile count, so `width ≥ budget + 1` never drops
+    /// anything and the beam stays exact.
+    ///
+    /// Under a `CommSpec` a partial's committed cross words join the
+    /// dominance check: each staircase becomes a Pareto front over
+    /// `(power, cross)`, because a completion's cross increment is
+    /// independent of the prefix — a pricier prefix with fewer committed
+    /// cross words may be the only one whose completions fit the TDM
+    /// frame.  A front may then hold several partials per tile count, so
+    /// exactness needs `width` at least the largest per-layer front (the
+    /// agreement property test sizes it generously).
+    ///
+    /// The walk visits buckets in tile order, each stably sorted by
+    /// `(power, cross)` — exactly a stable `(tiles, power, cross)` sort
+    /// of the layer — so survivors come out in that order, ties in
+    /// arrival order.  Returns the partials discarded, rejections on
+    /// arrival included.
+    fn prune_into(
+        &mut self,
+        width: usize,
+        kept: &mut Vec<Partial>,
+        scratch: &mut PruneScratch,
+    ) -> u64 {
+        kept.clear();
+        scratch.any.clear();
+        scratch.feasible.clear();
+        scratch.on_feasible.clear();
+        let mut before = std::mem::take(&mut self.rejected) as usize;
+        for bucket in &mut self.buckets {
+            before += bucket.len();
+            bucket.sort_by(|a, b| {
+                a.power
+                    .partial_cmp(&b.power)
+                    .expect("finite power")
+                    .then(a.cross.cmp(&b.cross))
+            });
+            for partial in bucket.drain(..) {
+                let (power, cross) = (partial.power, partial.cross);
+                let improves_any = !scratch.any.dominates(power, cross);
+                let improves_feasible =
+                    partial.feasible && !scratch.feasible.dominates(power, cross);
+                if improves_any {
+                    scratch.any.insert(power, cross);
+                }
+                if improves_feasible {
+                    scratch.feasible.insert(power, cross);
+                }
+                // A feasible partial on both staircases is stored once,
+                // on the feasible one.
+                if improves_any || improves_feasible {
+                    kept.push(partial);
+                    scratch.on_feasible.push(improves_feasible);
+                }
+            }
+        }
+        for front in self.any.iter_mut().chain(&mut self.feasible) {
+            front.clear();
+        }
+        scratch.cap(kept, width);
+        (before - kept.len()) as u64
+    }
+}
+
+/// The cross-tile fronts and cap bookkeeping of
+/// [`BucketLayer::prune_into`], kept across layers to reuse their
+/// allocations.
+#[derive(Default)]
+struct PruneScratch {
+    any: Staircase,
+    feasible: Staircase,
+    /// Per kept partial: does it sit on the feasible staircase?
+    on_feasible: Vec<bool>,
+    /// Indices into the kept partials of the staircase being capped.
+    order: Vec<usize>,
+    dropped: Vec<bool>,
+}
+
+impl PruneScratch {
+    /// Cap each staircase of `kept` at `width` entries by discarding its
+    /// highest-power entries; among equal powers the entry with fewer
+    /// tiles, then fewer cross words, goes first (entries are unique
+    /// within a staircase, so the order is total).  `kept` stays in walk
+    /// order.
+    fn cap(&mut self, kept: &mut Vec<Partial>, width: usize) {
+        let mut any_dropped = false;
+        for staircase in [false, true] {
+            self.order.clear();
+            self.order
+                .extend((0..kept.len()).filter(|&i| self.on_feasible[i] == staircase));
+            if self.order.len() <= width {
+                continue;
+            }
+            if !any_dropped {
+                self.dropped.clear();
+                self.dropped.resize(kept.len(), false);
+                any_dropped = true;
+            }
+            self.order.sort_by(|&a, &b| {
+                let (a, b) = (&kept[a], &kept[b]);
+                b.power
+                    .partial_cmp(&a.power)
+                    .expect("finite power")
+                    .then(a.tiles.cmp(&b.tiles))
+                    .then(a.cross.cmp(&b.cross))
+            });
+            for &index in &self.order[..self.order.len() - width] {
+                self.dropped[index] = true;
+            }
+        }
+        if any_dropped {
+            let mut index = 0;
+            kept.retain(|_| {
+                index += 1;
+                !self.dropped[index - 1]
+            });
+        }
+    }
 }
 
 /// A materialized expansion source: one surviving partial of the previous
@@ -715,31 +869,30 @@ struct Source {
 
 /// Materialize the surviving partials of a layer as arena nodes, so their
 /// extensions can reference them by index instead of cloning vectors.
-/// Returns the expansion sources in layer order.
-fn materialize_layer(layer: &[Partial], nodes: &mut Vec<BeamNode>) -> Vec<Source> {
-    layer
-        .iter()
-        .map(|p| {
-            let node = if p.start == NO_GROUP {
-                NO_NODE
-            } else {
-                nodes.push(BeamNode {
-                    parent: p.parent,
-                    start: p.start,
-                    end: p.end,
-                    tiles: p.choice,
-                });
-                (nodes.len() - 1) as u32
-            };
-            Source {
-                node,
-                tiles: p.tiles,
-                power: p.power,
-                feasible: p.feasible,
-                cross: p.cross,
-            }
-        })
-        .collect()
+/// Fills `sources` (cleared first) with the expansion sources in layer
+/// order.
+fn materialize_layer(layer: &[Partial], nodes: &mut Vec<BeamNode>, sources: &mut Vec<Source>) {
+    sources.clear();
+    sources.extend(layer.iter().map(|p| {
+        let node = if p.start == NO_GROUP {
+            NO_NODE
+        } else {
+            nodes.push(BeamNode {
+                parent: p.parent,
+                start: p.start,
+                end: p.end,
+                tiles: p.choice,
+            });
+            (nodes.len() - 1) as u32
+        };
+        Source {
+            node,
+            tiles: p.tiles,
+            power: p.power,
+            feasible: p.feasible,
+            cross: p.cross,
+        }
+    }));
 }
 
 /// Walk a final partial's backpointer chain into explicit grouping and
@@ -835,10 +988,10 @@ impl BeamPool {
 }
 
 /// Extend every source partial with every tile option of the group
-/// `layer..end`.  Returns the new partials, the transitions examined, and
-/// the extensions skipped because their committed cross words already
-/// overflow the TDM frame (cross words only grow, so such a prefix can
-/// never complete feasibly).
+/// `layer..end`, handing each new partial to `emit`.  Returns the
+/// transitions examined and the extensions skipped because their
+/// committed cross words already overflow the TDM frame (cross words only
+/// grow, so such a prefix can never complete feasibly).
 fn expand_layer_end(
     arena: &IntervalArena,
     budget: u32,
@@ -846,9 +999,9 @@ fn expand_layer_end(
     layer: usize,
     end: usize,
     sources: &[Source],
-) -> (Vec<Partial>, u64, u64) {
+    mut emit: impl FnMut(Partial),
+) -> (u64, u64) {
     let options = arena.options(layer, end);
-    let mut next = Vec::new();
     let mut count = 0u64;
     let mut comm_skipped = 0u64;
     for &source in sources {
@@ -872,7 +1025,7 @@ fn expand_layer_end(
                 break;
             }
             count += 1;
-            next.push(Partial {
+            emit(Partial {
                 tiles: total,
                 power: source.power + opt.power,
                 feasible: source.feasible && opt.feasible,
@@ -884,7 +1037,7 @@ fn expand_layer_end(
             });
         }
     }
-    (next, count, comm_skipped)
+    (count, comm_skipped)
 }
 
 /// The loop each persistent worker runs: steal one end of the current
@@ -911,8 +1064,11 @@ fn beam_worker(pool: &BeamPool, arena: &IntervalArena, budget: u32, comm: Option
             (task, index)
         };
         let end = task.ends[index];
-        let (partials, count, skipped) =
-            expand_layer_end(arena, budget, comm, task.layer, end, &task.sources);
+        let mut partials = Vec::new();
+        let (count, skipped) =
+            expand_layer_end(arena, budget, comm, task.layer, end, &task.sources, |p| {
+                partials.push(p)
+            });
         let mut state = pool.state.lock().expect("pool lock");
         state.results.push((end, partials, count, skipped));
         state.remaining -= 1;
@@ -921,6 +1077,16 @@ fn beam_worker(pool: &BeamPool, arena: &IntervalArena, budget: u32, comm: Option
             pool.layer_done.notify_all();
         }
     }
+}
+
+/// The bucketed layer `end`, taken from `spare` (or created) on first use.
+fn target_layer<'a>(
+    layers: &'a mut [Option<BucketLayer>],
+    spare: &mut Vec<BucketLayer>,
+    end: usize,
+    cells: usize,
+) -> &'a mut BucketLayer {
+    layers[end].get_or_insert_with(|| spare.pop().unwrap_or_else(|| BucketLayer::new(cells)))
 }
 
 /// Beam search over grouping prefixes with dominance pruning: layer `i`
@@ -944,8 +1110,11 @@ fn beam_worker(pool: &BeamPool, arena: &IntervalArena, budget: u32, comm: Option
 /// once for the whole search and steal `(layer, end)` expansions off a
 /// shared cursor, instead of the seed's per-layer `thread::spawn` burst
 /// that re-created the pool on every one of a deep graph's layers.
-/// Results merge in end order, so the outcome is bit-identical at any
-/// thread count (property-tested at 1 and 8).
+/// A single-worker search spawns nothing: it expands inline, straight
+/// into the target layers' buckets.  Either way each layer receives its
+/// partials in the same order (source layer, then source, then tile
+/// option), so the outcome is bit-identical at any thread count
+/// (property-tested at 1 and 8).
 ///
 /// `arena` must have been built for `ctx` with the same `budget` and
 /// `max_group_size` (see [`IntervalArena::build`]).
@@ -965,8 +1134,14 @@ pub(crate) fn beam(
     let comm_prune = comm.map(|spec| CommPrune::new(ctx, max_group_size, spec.capacity()));
     let comm_prune = comm_prune.as_ref();
 
-    let mut layers: Vec<Vec<Partial>> = vec![Vec::new(); n + 1];
-    layers[0].push(Partial {
+    let cells = budget as usize + 1;
+
+    // Target layers are created on first use and recycled once pruned, so
+    // at most `max_group_size` layers' buckets are live at a time.
+    let mut layers: Vec<Option<BucketLayer>> = (0..=n).map(|_| None).collect();
+    let mut spare: Vec<BucketLayer> = Vec::new();
+    let mut prune_scratch = PruneScratch::default();
+    let mut survivors: Vec<Partial> = vec![Partial {
         tiles: 0,
         power: 0.0,
         feasible: true,
@@ -975,18 +1150,27 @@ pub(crate) fn beam(
         start: NO_GROUP,
         end: 0,
         choice: 0,
-    });
+    }];
+    let mut sources: Vec<Source> = Vec::new();
     let mut nodes: Vec<BeamNode> = Vec::new();
     let mut evaluated = 0u64;
     let mut groupings = 0u64;
     let mut pruned = 0u64;
     let mut comm_pruned = 0u64;
+    let mut tally = |end: usize, count: u64, skipped: u64| {
+        evaluated += count;
+        comm_pruned += skipped;
+        if end == n {
+            groupings += count;
+        }
+    };
     let workers = threads.max(1);
 
     let pool = BeamPool::new();
     std::thread::scope(|scope| {
         // Spawn the persistent pool once; a single-threaded search skips
-        // it and expands inline (same merge order, so same result).
+        // it and expands inline, straight into the target buckets (same
+        // arrival order, so same result).
         if workers > 1 {
             for _ in 0..workers {
                 let pool = &pool;
@@ -996,43 +1180,47 @@ pub(crate) fn beam(
 
         for i in 0..n {
             if i > 0 {
-                pruned += prune_layer(&mut layers[i], width, comm_prune.is_some());
+                survivors.clear();
+                if let Some(mut layer) = layers[i].take() {
+                    pruned += layer.prune_into(width, &mut survivors, &mut prune_scratch);
+                    spare.push(layer);
+                }
             }
-            if layers[i].is_empty() {
+            if survivors.is_empty() {
                 continue;
             }
-            let ends: Vec<usize> = (i + 1..=(i + max_group_size).min(n)).collect();
-            let survivors = std::mem::take(&mut layers[i]);
-            let sources = materialize_layer(&survivors, &mut nodes);
-            let expansions: Vec<(usize, Vec<Partial>, u64, u64)> = if workers > 1 {
-                pool.run_layer(LayerTask {
+            materialize_layer(&survivors, &mut nodes, &mut sources);
+            let ends = i + 1..=(i + max_group_size).min(n);
+            if workers > 1 {
+                let task = LayerTask {
                     layer: i,
-                    ends,
-                    sources,
-                })
-            } else {
-                ends.into_iter()
-                    .map(|end| {
-                        let (partials, count, skipped) =
-                            expand_layer_end(arena, budget, comm_prune, i, end, &sources);
-                        (end, partials, count, skipped)
-                    })
-                    .collect()
-            };
-            for (end, partials, count, skipped) in expansions {
-                evaluated += count;
-                comm_pruned += skipped;
-                if end == n {
-                    groupings += partials.len() as u64;
+                    ends: ends.collect(),
+                    sources: std::mem::take(&mut sources),
+                };
+                for (end, partials, count, skipped) in pool.run_layer(task) {
+                    let target = target_layer(&mut layers, &mut spare, end, cells);
+                    partials.into_iter().for_each(|p| target.admit(p));
+                    tally(end, count, skipped);
                 }
-                layers[end].extend(partials);
+            } else {
+                for end in ends {
+                    let target = target_layer(&mut layers, &mut spare, end, cells);
+                    let (count, skipped) =
+                        expand_layer_end(arena, budget, comm_prune, i, end, &sources, |p| {
+                            target.admit(p)
+                        });
+                    tally(end, count, skipped);
+                }
             }
         }
         pool.shutdown();
     });
 
-    pruned += prune_layer(&mut layers[n], width, comm_prune.is_some());
-    let curve = layers[n]
+    survivors.clear();
+    if let Some(mut layer) = layers[n].take() {
+        pruned += layer.prune_into(width, &mut survivors, &mut prune_scratch);
+    }
+    let curve = survivors
         .iter()
         .map(|p| {
             let (groups, allocation) = reconstruct_partial(&nodes, p);
@@ -1143,6 +1331,124 @@ pub(crate) mod reference {
             dp = next;
         }
         dp
+    }
+
+    /// The sort-based layer prune the bucketed beam layers replaced,
+    /// kept as the oracle for [`BucketLayer`]: dominance-prune a layer: keep, per exact tile count, the cheapest
+    /// partial, then drop any partial dominated by a cheaper-or-equal partial
+    /// with fewer tiles.  Pruning across tile counts is sound for the best
+    /// solution and the Pareto frontier because a prefix with fewer tiles and
+    /// less power can absorb any completion its competitor can.
+    ///
+    /// Two staircases survive: partials improving on every earlier partial
+    /// overall, and feasible partials improving on every earlier *feasible*
+    /// partial (so the cheapest feasible prefix is never shadowed by a
+    /// cheaper infeasible one).  Each staircase is capped at `width` entries
+    /// independently — a staircase holds at most one partial per tile count,
+    /// so `width ≥ budget + 1` never drops anything and the beam stays exact.
+    ///
+    /// With `comm_aware` set, a partial's committed cross words join the
+    /// dominance check: each staircase becomes a Pareto front over
+    /// `(power, cross)`, because a completion's cross increment is
+    /// independent of the prefix — a pricier prefix with fewer committed
+    /// cross words may be the only one whose completions fit the TDM frame.
+    /// A front may then hold several partials per tile count, so exactness
+    /// needs `width` at least the largest per-layer front (the agreement
+    /// property test sizes it generously); the cap discards the
+    /// highest-power entries first.
+    ///
+    /// Returns the number of partials discarded.
+    pub(super) fn prune_layer(layer: &mut Vec<Partial>, width: usize, comm_aware: bool) -> u64 {
+        layer.sort_by(|a, b| {
+            a.tiles
+                .cmp(&b.tiles)
+                .then(a.power.partial_cmp(&b.power).expect("finite power"))
+                .then(a.cross.cmp(&b.cross))
+        });
+        let before = layer.len();
+        let mut any_staircase: Vec<Partial> = Vec::new();
+        let mut feasible_staircase: Vec<Partial> = Vec::new();
+        if comm_aware {
+            // Pareto fronts over (power, cross).  Entries are processed in
+            // (tiles, power, cross) order, so every kept entry has no more
+            // tiles than the candidate it is tested against; power and cross
+            // must be checked explicitly.
+            let mut any_front: Vec<(f64, u64)> = Vec::new();
+            let mut feasible_front: Vec<(f64, u64)> = Vec::new();
+            let dominated = |front: &[(f64, u64)], p: &Partial| {
+                front
+                    .iter()
+                    .any(|&(power, cross)| power <= p.power && cross <= p.cross)
+            };
+            for partial in layer.drain(..) {
+                let improves_any = !dominated(&any_front, &partial);
+                let improves_feasible = partial.feasible && !dominated(&feasible_front, &partial);
+                if improves_any {
+                    any_front.push((partial.power, partial.cross));
+                }
+                if improves_feasible {
+                    feasible_front.push((partial.power, partial.cross));
+                }
+                if improves_feasible {
+                    feasible_staircase.push(partial);
+                } else if improves_any {
+                    any_staircase.push(partial);
+                }
+            }
+            // Cap each front by discarding the highest-power entries (the
+            // final sort below restores (tiles, power, cross) order).
+            for staircase in [&mut any_staircase, &mut feasible_staircase] {
+                if staircase.len() > width {
+                    staircase.sort_by(|a, b| {
+                        b.power
+                            .partial_cmp(&a.power)
+                            .expect("finite power")
+                            .then(a.tiles.cmp(&b.tiles))
+                            .then(a.cross.cmp(&b.cross))
+                    });
+                    staircase.drain(..staircase.len() - width);
+                }
+            }
+        } else {
+            let mut best_any = f64::INFINITY;
+            let mut best_feasible = f64::INFINITY;
+            for partial in layer.drain(..) {
+                let improves_any = partial.power < best_any;
+                let improves_feasible = partial.feasible && partial.power < best_feasible;
+                if improves_any {
+                    best_any = partial.power;
+                }
+                if improves_feasible {
+                    best_feasible = partial.power;
+                }
+                // A feasible partial on both staircases is stored once, on the
+                // feasible one (it survives the same cap either way: both
+                // staircases are strictly power-descending in tile order).
+                if improves_feasible {
+                    feasible_staircase.push(partial);
+                } else if improves_any {
+                    any_staircase.push(partial);
+                }
+            }
+            // Powers are strictly descending along each staircase; keep the
+            // lowest-power tail of each.
+            for staircase in [&mut any_staircase, &mut feasible_staircase] {
+                if staircase.len() > width {
+                    staircase.drain(..staircase.len() - width);
+                }
+            }
+        }
+        let mut kept = any_staircase;
+        kept.append(&mut feasible_staircase);
+        kept.sort_by(|a, b| {
+            a.tiles
+                .cmp(&b.tiles)
+                .then(a.power.partial_cmp(&b.power).expect("finite power"))
+                .then(a.cross.cmp(&b.cross))
+        });
+        let pruned = (before - kept.len()) as u64;
+        *layer = kept;
+        pruned
     }
 
     /// The seed's sequential exhaustive merge: enumerate every grouping,
@@ -1277,7 +1583,123 @@ mod tests {
         (curve, transitions)
     }
 
+    /// How the prune oracle draws a random beam layer.
+    struct LayerSpec<'a> {
+        budget: u32,
+        tiles: &'a [u32],
+        /// Power picks, taken modulo `power_levels`: few levels make
+        /// exact power ties common.
+        powers: &'a [u32],
+        power_levels: u32,
+        /// Cross-word picks (ignored without comm, where cross is 0).
+        crosses: &'a [u64],
+        comm: bool,
+        /// Feasibility picks (0 = infeasible).
+        feasible: &'a [u32],
+        /// Extra copies of each partial: same tiles, power and cross,
+        /// feasibility drawn afresh.
+        duplicates: &'a [u32],
+        shuffle_seed: u64,
+        /// Arrive in descending power (ties shuffled), so nearly every
+        /// newcomer is admitted and buckets grow long.
+        descending: bool,
+    }
+
+    /// A random beam layer for the prune oracle.  `parent` carries each
+    /// partial's arrival index so survivor sequences can be compared tie
+    /// for tie.
+    fn random_layer(spec: &LayerSpec) -> Vec<Partial> {
+        let mut layer = Vec::new();
+        for (i, &t) in spec.tiles.iter().enumerate() {
+            let pick = |values: &[u32], k: usize| values[(i + k) % values.len()];
+            for copy in 0..=pick(spec.duplicates, 0) as usize {
+                layer.push(Partial {
+                    tiles: t % (spec.budget + 1),
+                    power: 10.0 + f64::from(pick(spec.powers, 0) % spec.power_levels) * 0.25,
+                    feasible: pick(spec.feasible, copy) != 0,
+                    cross: if spec.comm {
+                        spec.crosses[i % spec.crosses.len()]
+                    } else {
+                        0
+                    },
+                    parent: 0,
+                    start: 0,
+                    end: 1,
+                    choice: 0,
+                });
+            }
+        }
+        // Fisher–Yates with a splitmix64 stream.
+        let mut state = spec.shuffle_seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for i in (1..layer.len()).rev() {
+            layer.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        if spec.descending {
+            layer.sort_by(|a, b| b.power.partial_cmp(&a.power).expect("finite power"));
+        }
+        for (id, partial) in layer.iter_mut().enumerate() {
+            partial.parent = id as u32;
+        }
+        layer
+    }
+
     proptest! {
+        /// Bucketed admission followed by [`BucketLayer::prune_into`]
+        /// keeps exactly the survivor sequence of the sort-based
+        /// reference prune, ties included, and reports the same pruned
+        /// count — with and without comm, with widths below and above
+        /// the front size, and on a reused (recycled) layer.
+        #[test]
+        fn bucketed_prune_matches_sort_based_reference(
+            budget in 1u32..24,
+            tiles in prop::collection::vec(0u32..1_000, 0..160),
+            powers in prop::collection::vec(0u32..64, 1..40),
+            power_levels in 2u32..65,
+            crosses in prop::collection::vec(0u64..5, 1..40),
+            comm in any::<bool>(),
+            feasible in prop::collection::vec(0u32..3, 1..40),
+            duplicates in prop::collection::vec(0u32..3, 1..40),
+            shuffle_seed in any::<u64>(),
+            descending in any::<bool>(),
+            width in 1usize..48,
+        ) {
+            let layer = random_layer(&LayerSpec {
+                budget,
+                tiles: &tiles,
+                powers: &powers,
+                power_levels,
+                crosses: &crosses,
+                comm,
+                feasible: &feasible,
+                duplicates: &duplicates,
+                shuffle_seed,
+                descending,
+            });
+            let mut expected = layer.clone();
+            let expected_pruned = reference::prune_layer(&mut expected, width, comm);
+            let expected_ids: Vec<u32> = expected.iter().map(|p| p.parent).collect();
+
+            let mut bucketed = BucketLayer::new(budget as usize + 1);
+            let mut scratch = PruneScratch::default();
+            let mut kept = Vec::new();
+            for round in 0..2 {
+                for &partial in &layer {
+                    bucketed.admit(partial);
+                }
+                let pruned = bucketed.prune_into(width, &mut kept, &mut scratch);
+                let ids: Vec<u32> = kept.iter().map(|p| p.parent).collect();
+                prop_assert_eq!(&ids, &expected_ids, "survivors differ in round {}", round);
+                prop_assert_eq!(pruned, expected_pruned, "pruned count differs in round {}", round);
+            }
+        }
+
         /// The backpointer DP reconstructs exactly the same
         /// `(power, feasible, allocation)` curve as the retained
         /// clone-based reference, for random chains, groupings and

@@ -84,6 +84,9 @@ pub enum SdfError {
     },
     /// The graph has no actors.
     Empty,
+    /// The balance equations may be consistent, but the repetition vector
+    /// does not fit `u64` firing counts.
+    Overflow,
 }
 
 impl fmt::Display for SdfError {
@@ -98,6 +101,7 @@ impl fmt::Display for SdfError {
                 write!(f, "graph deadlocks with {} actors blocked", blocked.len())
             }
             SdfError::Empty => write!(f, "graph has no actors"),
+            SdfError::Overflow => write!(f, "repetition vector overflows 64-bit firing counts"),
         }
     }
 }
@@ -111,16 +115,46 @@ pub struct SdfGraph {
     edges: Vec<Edge>,
 }
 
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
+/// Greatest common divisor (Euclid); `gcd(0, b) == b`.
+pub fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
     }
+    a
 }
 
-fn lcm(a: u64, b: u64) -> u64 {
-    a / gcd(a, b) * b
+/// A positive rational `num / den` in lowest terms.
+type Ratio = (u64, u64);
+
+/// `rate * mul / div` in lowest terms, or `None` when the numerator or
+/// denominator does not fit `u64`.  `rate` must be in lowest terms;
+/// cross-cancelling before multiplying keeps the product in lowest terms
+/// too, so an overflow here is an overflow of the reduced value itself.
+fn scale_ratio((num, den): Ratio, mul: u64, div: u64) -> Option<Ratio> {
+    if mul == div {
+        return Some((num, den));
+    }
+    let g = gcd(mul, div);
+    let (mul, div) = (mul / g, div / g);
+    let g_num = gcd(num, div);
+    let g_den = gcd(mul, den);
+    Some((
+        (num / g_num).checked_mul(mul / g_den)?,
+        (den / g_den).checked_mul(div / g_num)?,
+    ))
+}
+
+/// The balance equation of one edge: `ra * produce == rb * consume`.
+fn balanced(ra: Ratio, produce: u64, rb: Ratio, consume: u64) -> bool {
+    let side = |num: u64, rate: u64, other_den: u64| {
+        (u128::from(num) * u128::from(rate)).checked_mul(u128::from(other_den))
+    };
+    match (side(ra.0, produce, rb.1), side(rb.0, consume, ra.1)) {
+        (Some(lhs), Some(rhs)) => lhs == rhs,
+        // Too large to cross-multiply: compare in lowest terms instead (a
+        // product that overflows u64 cannot equal the known `rb`).
+        _ => scale_ratio(ra, produce, consume) == Some(rb),
+    }
 }
 
 impl SdfGraph {
@@ -202,76 +236,74 @@ impl SdfGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`SdfError::Empty`] for an empty graph or
-    /// [`SdfError::Inconsistent`] when no solution exists.
+    /// Returns [`SdfError::Empty`] for an empty graph,
+    /// [`SdfError::Inconsistent`] when no solution exists, or
+    /// [`SdfError::Overflow`] when the solution does not fit `u64` firing
+    /// counts.
     pub fn repetition_vector(&self) -> Result<Vec<u64>, SdfError> {
         if self.actors.is_empty() {
             return Err(SdfError::Empty);
         }
-        // Represent each actor's rate as a rational num/den and propagate
-        // along edges; disconnected components each get an independent
-        // normalisation.
+        // Represent each actor's rate as a rational in lowest terms and
+        // propagate along edges; disconnected components each get an
+        // independent normalisation.  Every product is checked.  In the
+        // minimal integer vector each actor fires a multiple of its reduced
+        // rate's numerator, and every component's first actor fires a
+        // multiple of every denominator, so a rate that overflows `u64`
+        // proves the vector overflows too: `Overflow`, never a wrapped
+        // value or a false `Inconsistent`.
         let n = self.actors.len();
-        let mut num = vec![0u64; n];
-        let mut den = vec![1u64; n];
-
+        let mut rate: Vec<Option<Ratio>> = vec![None; n];
         for start in 0..n {
-            if num[start] != 0 {
+            if rate[start].is_some() {
                 continue;
             }
-            num[start] = 1;
-            den[start] = 1;
+            rate[start] = Some((1, 1));
             // Breadth-first propagation across edges touching known actors.
             let mut changed = true;
             while changed {
                 changed = false;
                 for (ei, e) in self.edges.iter().enumerate() {
                     let (a, b) = (e.from.0, e.to.0);
-                    let known_a = num[a] != 0;
-                    let known_b = num[b] != 0;
-                    if known_a && !known_b {
+                    match (rate[a], rate[b]) {
                         // r_b = r_a * produce / consume
-                        let g = gcd(e.produce, e.consume);
-                        num[b] = num[a] * (e.produce / g);
-                        den[b] = den[a] * (e.consume / g);
-                        let g2 = gcd(num[b], den[b]);
-                        num[b] /= g2;
-                        den[b] /= g2;
-                        changed = true;
-                    } else if known_b && !known_a {
-                        let g = gcd(e.produce, e.consume);
-                        num[a] = num[b] * (e.consume / g);
-                        den[a] = den[b] * (e.produce / g);
-                        let g2 = gcd(num[a], den[a]);
-                        num[a] /= g2;
-                        den[a] /= g2;
-                        changed = true;
-                    } else if known_a && known_b {
-                        // Consistency check: r_a * produce == r_b * consume.
-                        let lhs = num[a] as u128 * e.produce as u128 * den[b] as u128;
-                        let rhs = num[b] as u128 * e.consume as u128 * den[a] as u128;
-                        if lhs != rhs {
-                            return Err(SdfError::Inconsistent { edge: ei });
+                        (Some(ra), None) => {
+                            rate[b] = Some(
+                                scale_ratio(ra, e.produce, e.consume).ok_or(SdfError::Overflow)?,
+                            );
+                            changed = true;
                         }
+                        (None, Some(rb)) => {
+                            rate[a] = Some(
+                                scale_ratio(rb, e.consume, e.produce).ok_or(SdfError::Overflow)?,
+                            );
+                            changed = true;
+                        }
+                        (Some(ra), Some(rb)) => {
+                            if !balanced(ra, e.produce, rb, e.consume) {
+                                return Err(SdfError::Inconsistent { edge: ei });
+                            }
+                        }
+                        (None, None) => {}
                     }
                 }
             }
         }
 
-        // Scale to the smallest integer vector.
-        let common_den = den.iter().fold(1u64, |acc, &d| lcm(acc, d));
-        let mut reps: Vec<u64> = num
+        // Scale to the smallest integer vector: multiply by the lcm of
+        // the denominators (one component's rates are then coprime
+        // integers, and so are all components' together).
+        let common_den = rate
             .iter()
-            .zip(&den)
-            .map(|(&n_i, &d_i)| n_i * (common_den / d_i))
-            .collect();
-        let common_gcd = reps.iter().fold(0u64, |acc, &r| gcd(acc, r));
-        if common_gcd > 1 {
-            for r in &mut reps {
-                *r /= common_gcd;
-            }
-        }
-        Ok(reps)
+            .flatten()
+            .try_fold(1u64, |acc, &(_, den)| {
+                (acc / gcd(acc, den)).checked_mul(den)
+            })
+            .ok_or(SdfError::Overflow)?;
+        rate.iter()
+            .flatten()
+            .map(|&(num, den)| num.checked_mul(common_den / den).ok_or(SdfError::Overflow))
+            .collect()
     }
 
     /// Compute a periodic admissible sequential schedule (one graph
@@ -1019,6 +1051,44 @@ mod tests {
             g.repetition_vector(),
             Err(SdfError::Inconsistent { .. })
         ));
+    }
+
+    /// A chain of `edges + 1` actors whose edges all produce 1000 and
+    /// consume 997 tokens: consistent, with repetition vector
+    /// 1000^i · 997^(edges−i).  At seven edges that outgrows u64;
+    /// unchecked arithmetic used to wrap into a false `Inconsistent`
+    /// verdict in release builds and panic in debug builds.
+    fn coprime_rate_chain(edges: usize) -> SdfGraph {
+        let mut g = SdfGraph::new();
+        let mut prev = g.add_actor("a0", 1, 1);
+        for i in 1..=edges {
+            let next = g.add_actor(format!("a{i}"), 1, 1);
+            g.add_edge(prev, next, 1000, 997, 0).unwrap();
+            prev = next;
+        }
+        g
+    }
+
+    #[test]
+    fn oversized_repetition_vector_reports_overflow() {
+        assert_eq!(
+            coprime_rate_chain(7).repetition_vector(),
+            Err(SdfError::Overflow)
+        );
+        // One edge fewer fits: r_i = 1000^i · 997^(6−i), about 1e18 at most.
+        let reps = coprime_rate_chain(6).repetition_vector().unwrap();
+        let expected: Vec<u64> = (0..=6u32)
+            .map(|i| 1000u64.pow(i) * 997u64.pow(6 - i))
+            .collect();
+        assert_eq!(reps, expected);
+    }
+
+    #[test]
+    fn gcd_handles_zero_and_coprime_inputs() {
+        assert_eq!(gcd(0, 12), 12);
+        assert_eq!(gcd(12, 0), 12);
+        assert_eq!(gcd(1000, 997), 1);
+        assert_eq!(gcd(84, 36), 12);
     }
 
     #[test]

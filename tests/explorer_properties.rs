@@ -8,8 +8,9 @@
 use proptest::prelude::*;
 use synchro_power::{Technology, VfCurve};
 use synchro_sdf::SdfGraph;
+use synchroscalar::apps::{deep_pipeline, DEEP_PIPELINE_RATE_HZ};
 use synchroscalar::explorer::{
-    dominates, evaluate_mapping, explore, ExplorerConfig, SearchStrategy,
+    dominates, evaluate_mapping, explore, CommSpec, ExplorerConfig, SearchStrategy,
 };
 use synchroscalar::mapper;
 
@@ -240,4 +241,152 @@ fn auto_mapping_wifi_reproduces_table4() {
     }
     let reference = evaluate_mapping(&graph, &reference_mapping, &config).unwrap();
     assert!(exploration.best.power_mw <= reference.power_mw + 1e-9);
+}
+
+/// One pinned fused `deep_pipeline` exploration: the request, then the
+/// best solution's power bits, actors per column group and tiles per
+/// column group, then `[mappings_evaluated, groupings_examined,
+/// states_pruned, groupings_comm_pruned]`.
+struct DeepPipelinePin {
+    budget: u32,
+    rate: (u32, u32),
+    power_bits: u64,
+    group_sizes: &'static [usize],
+    allocation: &'static [u32],
+    counters: [u64; 4],
+}
+
+const fn pin(
+    budget: u32,
+    rate: (u32, u32),
+    power_bits: u64,
+    group_sizes: &'static [usize],
+    allocation: &'static [u32],
+    counters: [u64; 4],
+) -> DeepPipelinePin {
+    DeepPipelinePin {
+        budget,
+        rate,
+        power_bits,
+        group_sizes,
+        allocation,
+        counters,
+    }
+}
+
+/// Fused `deep_pipeline` explorations (24 actors, so `Auto` runs the beam
+/// engine) at budgets 20/40/80 × rates 1, ¾ and ½ of the reference rate,
+/// comm-pruned against the default horizontal bus.
+const DEEP_PIPELINE_PINS: [DeepPipelinePin; 9] = [
+    pin(
+        20,
+        (1, 1),
+        0x40c6_d1f5_025c_36f4,
+        &[6, 4, 4, 5, 5],
+        &[4, 4, 4, 4, 4],
+        [21971, 1930, 21178, 19],
+    ),
+    pin(
+        20,
+        (3, 4),
+        0x40b9_2691_099b_3ce6,
+        &[6, 3, 5, 2, 6, 2],
+        &[4, 4, 4, 2, 4, 2],
+        [17451, 1676, 16787, 0],
+    ),
+    pin(
+        20,
+        (1, 2),
+        0x40a4_0625_e360_da58,
+        &[5, 5, 2, 5, 5, 2],
+        &[4, 4, 2, 4, 4, 2],
+        [18515, 1806, 17810, 0],
+    ),
+    pin(
+        40,
+        (1, 1),
+        0x40b6_cb60_f4fc_2faa,
+        &[1, 2, 3, 1, 2, 2, 3, 1, 1, 1, 2, 3, 2],
+        &[1, 4, 4, 2, 4, 4, 4, 2, 2, 1, 4, 4, 4],
+        [41770, 4191, 40235, 876],
+    ),
+    pin(
+        40,
+        (3, 4),
+        0x40a5_ad02_19b5_b3ad,
+        &[3, 2, 1, 2, 2, 2, 2, 2, 3, 2, 1, 2],
+        &[4, 4, 2, 4, 2, 4, 2, 4, 4, 4, 2, 4],
+        [32938, 3869, 31569, 0],
+    ),
+    pin(
+        40,
+        (1, 2),
+        0x4094_a359_7e31_c55c,
+        &[3, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2],
+        &[4, 4, 4, 4, 2, 4, 2, 4, 2, 4, 2, 4],
+        [38075, 4284, 36552, 0],
+    ),
+    pin(
+        80,
+        (1, 1),
+        0x40a6_1cda_a233_ad3e,
+        &[2, 2, 1, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2],
+        &[4, 8, 4, 8, 8, 4, 8, 4, 8, 4, 8, 4, 8],
+        [60839, 7397, 58393, 1834],
+    ),
+    pin(
+        80,
+        (3, 4),
+        0x409b_f9b7_50ed_3602,
+        &[2, 2, 1, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2],
+        &[4, 8, 4, 8, 8, 4, 8, 4, 8, 4, 8, 4, 8],
+        [43303, 5613, 41440, 0],
+    ),
+    pin(
+        80,
+        (1, 2),
+        0x408d_8fcf_cf3e_49c7,
+        &[2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1],
+        &[4, 4, 4, 4, 4, 4, 4, 4, 8, 4, 4, 4, 4, 4, 4, 4, 4, 8],
+        [50679, 6369, 48535, 0],
+    ),
+];
+
+/// Pinned regression: the fused `deep_pipeline` beam explorations return
+/// the same best solution and the same search counters, bit for bit, at
+/// one and at eight threads.
+#[test]
+fn fused_deep_pipeline_explorations_are_pinned() {
+    let graph = deep_pipeline();
+    let bus = mapper::MapperOptions::default();
+    for pin in &DEEP_PIPELINE_PINS {
+        let rate = DEEP_PIPELINE_RATE_HZ * f64::from(pin.rate.0) / f64::from(pin.rate.1);
+        let comm = CommSpec::from_clock(bus.bus_splits as u32, bus.bus_frequency_hz, rate);
+        for threads in [1usize, 8] {
+            let config = ExplorerConfig::new(rate, pin.budget)
+                .with_threads(threads)
+                .with_comm(comm);
+            let exploration = explore(&graph, &config).unwrap();
+            let best = &exploration.best;
+            let case = format!(
+                "budget {} rate {:?} threads {threads}",
+                pin.budget, pin.rate
+            );
+            assert_eq!(best.power_mw.to_bits(), pin.power_bits, "{case}");
+            let group_sizes: Vec<usize> = best.columns.iter().map(|c| c.actors.len()).collect();
+            assert_eq!(group_sizes, pin.group_sizes, "{case}");
+            assert_eq!(best.allocation(), pin.allocation, "{case}");
+            let s = &exploration.stats;
+            assert_eq!(
+                [
+                    s.mappings_evaluated,
+                    s.groupings_examined,
+                    s.states_pruned,
+                    s.groupings_comm_pruned
+                ],
+                pin.counters,
+                "{case}"
+            );
+        }
+    }
 }
