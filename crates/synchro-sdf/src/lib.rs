@@ -145,16 +145,11 @@ fn scale_ratio((num, den): Ratio, mul: u64, div: u64) -> Option<Ratio> {
 }
 
 /// The balance equation of one edge: `ra * produce == rb * consume`.
+/// Both rates are in lowest terms, and so is `scale_ratio`'s result, so
+/// equal rationals compare equal as pairs; a product too large for `u64`
+/// cannot equal the known `rb`.
 fn balanced(ra: Ratio, produce: u64, rb: Ratio, consume: u64) -> bool {
-    let side = |num: u64, rate: u64, other_den: u64| {
-        (u128::from(num) * u128::from(rate)).checked_mul(u128::from(other_den))
-    };
-    match (side(ra.0, produce, rb.1), side(rb.0, consume, ra.1)) {
-        (Some(lhs), Some(rhs)) => lhs == rhs,
-        // Too large to cross-multiply: compare in lowest terms instead (a
-        // product that overflows u64 cannot equal the known `rb`).
-        _ => scale_ratio(ra, produce, consume) == Some(rb),
-    }
+    scale_ratio(ra, produce, consume) == Some(rb)
 }
 
 impl SdfGraph {
@@ -244,14 +239,15 @@ impl SdfGraph {
         if self.actors.is_empty() {
             return Err(SdfError::Empty);
         }
-        // Represent each actor's rate as a rational in lowest terms and
-        // propagate along edges; disconnected components each get an
-        // independent normalisation.  Every product is checked.  In the
-        // minimal integer vector each actor fires a multiple of its reduced
-        // rate's numerator, and every component's first actor fires a
-        // multiple of every denominator, so a rate that overflows `u64`
-        // proves the vector overflows too: `Overflow`, never a wrapped
-        // value or a false `Inconsistent`.
+        // Represent each actor's rate as a rational in lowest terms,
+        // relative to the first actor of its connected component, and
+        // propagate along edges.  Every product is checked.  The integer
+        // vector below multiplies every rate by the lcm `L` of all
+        // denominators, so each actor fires a multiple of its reduced
+        // rate's numerator and every component's first actor fires `L`, a
+        // multiple of every denominator.  A rate that overflows `u64`
+        // therefore proves the vector overflows too: `Overflow`, never a
+        // wrapped value or a false `Inconsistent`.
         let n = self.actors.len();
         let mut rate: Vec<Option<Ratio>> = vec![None; n];
         for start in 0..n {
@@ -290,9 +286,11 @@ impl SdfGraph {
             }
         }
 
-        // Scale to the smallest integer vector: multiply by the lcm of
-        // the denominators (one component's rates are then coprime
-        // integers, and so are all components' together).
+        // Scale to integers: multiply every rate by the lcm `L` of all
+        // denominators, so each component's first actor fires `L`.  The
+        // vector has gcd 1: component A's entries are its minimal vector
+        // (gcd 1) times `L / L_A`, where `L_A` is the lcm of A's
+        // denominators, and those factors are coprime across components.
         let common_den = rate
             .iter()
             .flatten()
@@ -1081,6 +1079,44 @@ mod tests {
             .map(|i| 1000u64.pow(i) * 997u64.pow(6 - i))
             .collect();
         assert_eq!(reps, expected);
+    }
+
+    /// A diamond: two `len`-edge paths from a source to a sink, every edge
+    /// producing 1000 and consuming 997, except that the second path's
+    /// last edge consumes `last_consume`.  The balance check on that last
+    /// edge compares two rates near 1e18.
+    fn coprime_rate_diamond(len: usize, last_consume: u64) -> SdfGraph {
+        let mut g = SdfGraph::new();
+        let source = g.add_actor("source", 1, 1);
+        let sink = g.add_actor("sink", 1, 1);
+        for path in 0..2 {
+            let mut prev = source;
+            for i in 1..len {
+                let next = g.add_actor(format!("p{path}_{i}"), 1, 1);
+                g.add_edge(prev, next, 1000, 997, 0).unwrap();
+                prev = next;
+            }
+            let consume = if path == 0 { 997 } else { last_consume };
+            g.add_edge(prev, sink, 1000, consume, 0).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn large_rate_diamonds_are_checked_exactly() {
+        // Consistent: both paths give the sink (1000/997)^6.
+        let reps = coprime_rate_diamond(6, 997).repetition_vector().unwrap();
+        assert_eq!(reps[0], 997u64.pow(6));
+        assert_eq!(reps[1], 1000u64.pow(6));
+        // The second path reaches the sink at 1000^6 / (997^5 · 998):
+        // inconsistent at its last edge, the graph's last.
+        let g = coprime_rate_diamond(6, 998);
+        assert_eq!(
+            g.repetition_vector(),
+            Err(SdfError::Inconsistent {
+                edge: g.edges().len() - 1
+            })
+        );
     }
 
     #[test]
