@@ -1253,9 +1253,12 @@ pub fn explain_infeasibility(
             Err(err) => {
                 // Realization failures do not flow through a traced
                 // callee; mirror them into the ledger by hand.
-                trace.emit(|| synchro_trace::TraceEvent::RouteReject {
-                    code: err.code(),
-                    detail: err.to_string(),
+                trace.emit(|| {
+                    synchro_trace::RouteRejectEvent {
+                        code: err.code(),
+                        detail: err.to_string(),
+                    }
+                    .into()
                 });
                 false
             }

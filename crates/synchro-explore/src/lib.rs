@@ -52,7 +52,7 @@ use std::fmt;
 
 use synchro_power::{AreaModel, Technology};
 use synchro_sdf::{gcd, ActorId, Mapping, MappingViolation, SdfError, SdfGraph};
-use synchro_trace::{Trace, TraceEvent};
+use synchro_trace::{RouteRejectEvent, Trace, TraceEvent};
 
 mod degraded;
 mod model;
@@ -386,8 +386,10 @@ pub struct ExplorerConfig {
     pub candidates: TileCandidates,
     /// Search engine selection.
     pub strategy: SearchStrategy,
-    /// Worker threads (0 = one per available core).  At 1 the search
-    /// runs on the caller's thread and spawns nothing.
+    /// Worker threads of the exhaustive engine (0 = one per available
+    /// core).  At 1 it runs on the caller's thread and spawns nothing.
+    /// The beam engine always runs on the caller's thread and reports
+    /// `threads_used: 1`.
     pub threads: usize,
     /// Largest number of adjacent actors the search may fuse into one
     /// column group.  `1` restricts the space to the paper's structure of
@@ -455,8 +457,8 @@ impl ExplorerConfig {
         self
     }
 
-    /// Override the worker-thread count (0 = one per available core, 1 =
-    /// search on the caller's thread).
+    /// Override the exhaustive engine's worker-thread count (0 = one per
+    /// available core, 1 = search on the caller's thread).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -654,9 +656,11 @@ pub fn explore(graph: &SdfGraph, config: &ExplorerConfig) -> Result<Exploration,
 /// the router's convention so one `RejectionLedger` aggregates both.
 fn reject_on_err<T>(trace: &Trace, result: &Result<T, ExplorerError>) {
     if let Err(err) = result {
-        trace.emit(|| TraceEvent::RouteReject {
-            code: err.code(),
-            detail: err.to_string(),
+        trace.emit(|| {
+            TraceEvent::from(RouteRejectEvent {
+                code: err.code(),
+                detail: err.to_string(),
+            })
         });
     }
 }
@@ -810,7 +814,6 @@ fn run_search(
             config.tile_budget,
             plan.max_group_size,
             width,
-            plan.threads,
             comm,
         ),
     };
@@ -1637,7 +1640,7 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::RouteReject { code, detail } => Some((*code, detail.clone())),
+                TraceEvent::RouteReject(reject) => Some((reject.code, reject.detail.clone())),
                 _ => None,
             })
             .collect();

@@ -1,8 +1,9 @@
 //! The search engines: exhaustive enumeration of contiguous groupings
 //! (each solved exactly by a per-tile-count dynamic program) for small
 //! graphs, and a dominance-pruned beam search over grouping prefixes for
-//! large ones.  Both fan their work across `std::thread` workers; a
-//! single-worker search runs on the caller's thread.
+//! large ones.  The exhaustive engine fans its groupings across
+//! `std::thread` workers (a single-worker search runs on the caller's
+//! thread); the beam always runs on the caller's thread.
 //!
 //! The hot path is allocation-free: interval options live in one
 //! contiguous [`IntervalArena`], the per-grouping dynamic program keeps
@@ -17,7 +18,6 @@
 //! agreement.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::model::{EvalCache, Evaluator, GraphContext};
@@ -916,77 +916,6 @@ fn reconstruct_partial(nodes: &[BeamNode], partial: &Partial) -> (Grouping, Vec<
     (groups, allocation)
 }
 
-/// One layer's expansion work, published to the persistent worker pool:
-/// extend every source partial of `layer` with every group ending at one
-/// of `ends`.
-struct LayerTask {
-    layer: usize,
-    ends: Vec<usize>,
-    sources: Vec<Source>,
-}
-
-/// Shared state of the beam engine's persistent worker pool: one task at
-/// a time, ends stolen one by one off `next_end`.  Each result carries
-/// `(end, partials, transitions examined, comm-overflow skips)`.
-struct BeamPoolState {
-    shutdown: bool,
-    task: Option<Arc<LayerTask>>,
-    next_end: usize,
-    remaining: usize,
-    results: Vec<(usize, Vec<Partial>, u64, u64)>,
-}
-
-struct BeamPool {
-    state: Mutex<BeamPoolState>,
-    work_ready: Condvar,
-    layer_done: Condvar,
-}
-
-impl BeamPool {
-    fn new() -> Self {
-        BeamPool {
-            state: Mutex::new(BeamPoolState {
-                shutdown: false,
-                task: None,
-                next_end: 0,
-                remaining: 0,
-                results: Vec::new(),
-            }),
-            work_ready: Condvar::new(),
-            layer_done: Condvar::new(),
-        }
-    }
-
-    /// Publish a layer task, block until every end is expanded, and
-    /// return the results sorted by end (so the merge order — and with it
-    /// the search result — is independent of worker scheduling).
-    fn run_layer(&self, task: LayerTask) -> Vec<(usize, Vec<Partial>, u64, u64)> {
-        let ends = task.ends.len();
-        {
-            let mut state = self.state.lock().expect("pool lock");
-            state.task = Some(Arc::new(task));
-            state.next_end = 0;
-            state.remaining = ends;
-            self.work_ready.notify_all();
-        }
-        let mut results = {
-            let mut state = self.state.lock().expect("pool lock");
-            while state.remaining > 0 {
-                state = self.layer_done.wait(state).expect("pool lock");
-            }
-            std::mem::take(&mut state.results)
-        };
-        results.sort_by_key(|&(end, _, _, _)| end);
-        results
-    }
-
-    fn shutdown(&self) {
-        let mut state = self.state.lock().expect("pool lock");
-        state.shutdown = true;
-        self.work_ready.notify_all();
-    }
-}
-
 /// Extend every source partial with every tile option of the group
 /// `layer..end`, handing each new partial to `emit`.  Returns the
 /// transitions examined and the extensions skipped because their
@@ -1040,45 +969,6 @@ fn expand_layer_end(
     (count, comm_skipped)
 }
 
-/// The loop each persistent worker runs: steal one end of the current
-/// layer task, expand it, deposit the result, and wake the coordinator
-/// when the layer is complete.
-fn beam_worker(pool: &BeamPool, arena: &IntervalArena, budget: u32, comm: Option<&CommPrune>) {
-    loop {
-        let (task, index) = {
-            let mut state = pool.state.lock().expect("pool lock");
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if let Some(task) = &state.task {
-                    if state.next_end < task.ends.len() {
-                        break;
-                    }
-                }
-                state = pool.work_ready.wait(state).expect("pool lock");
-            }
-            let task = Arc::clone(state.task.as_ref().expect("checked above"));
-            let index = state.next_end;
-            state.next_end += 1;
-            (task, index)
-        };
-        let end = task.ends[index];
-        let mut partials = Vec::new();
-        let (count, skipped) =
-            expand_layer_end(arena, budget, comm, task.layer, end, &task.sources, |p| {
-                partials.push(p)
-            });
-        let mut state = pool.state.lock().expect("pool lock");
-        state.results.push((end, partials, count, skipped));
-        state.remaining -= 1;
-        if state.remaining == 0 {
-            state.task = None;
-            pool.layer_done.notify_all();
-        }
-    }
-}
-
 /// The bucketed layer `end`, taken from `spare` (or created) on first use.
 fn target_layer<'a>(
     layers: &'a mut [Option<BucketLayer>],
@@ -1105,27 +995,20 @@ fn target_layer<'a>(
 /// under comm need head-room beyond `budget + 1` since a front may hold
 /// several partials per tile count.
 ///
-/// Layer expansions fan out across a *persistent* work-stealing pool (the
-/// structure the exhaustive engine uses): `threads` workers are spawned
-/// once for the whole search and steal `(layer, end)` expansions off a
-/// shared cursor, instead of the seed's per-layer `thread::spawn` burst
-/// that re-created the pool on every one of a deep graph's layers.
-/// A single-worker search spawns nothing: it expands inline, straight
-/// into the target layers' buckets.  Either way each layer receives its
-/// partials in the same order (source layer, then source, then tile
-/// option), so the outcome is bit-identical at any thread count
-/// (property-tested at 1 and 8).
+/// The search runs on the caller's thread: each layer's expansions go
+/// straight into the target layers' buckets, in a fixed order (source
+/// layer, then source, then tile option).  A layer's expansion is too
+/// short to amortize handing it to worker threads, so the beam ignores
+/// the configured thread count.
 ///
 /// `arena` must have been built for `ctx` with the same `budget` and
 /// `max_group_size` (see [`IntervalArena::build`]).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn beam(
     ctx: &GraphContext,
     arena: &IntervalArena,
     budget: u32,
     max_group_size: usize,
     width: usize,
-    threads: usize,
     comm: Option<CommSpec>,
 ) -> SearchOutcome {
     let started = Instant::now();
@@ -1164,57 +1047,28 @@ pub(crate) fn beam(
             groupings += count;
         }
     };
-    let workers = threads.max(1);
 
-    let pool = BeamPool::new();
-    std::thread::scope(|scope| {
-        // Spawn the persistent pool once; a single-threaded search skips
-        // it and expands inline, straight into the target buckets (same
-        // arrival order, so same result).
-        if workers > 1 {
-            for _ in 0..workers {
-                let pool = &pool;
-                scope.spawn(move || beam_worker(pool, arena, budget, comm_prune));
+    for i in 0..n {
+        if i > 0 {
+            survivors.clear();
+            if let Some(mut layer) = layers[i].take() {
+                pruned += layer.prune_into(width, &mut survivors, &mut prune_scratch);
+                spare.push(layer);
             }
         }
-
-        for i in 0..n {
-            if i > 0 {
-                survivors.clear();
-                if let Some(mut layer) = layers[i].take() {
-                    pruned += layer.prune_into(width, &mut survivors, &mut prune_scratch);
-                    spare.push(layer);
-                }
-            }
-            if survivors.is_empty() {
-                continue;
-            }
-            materialize_layer(&survivors, &mut nodes, &mut sources);
-            let ends = i + 1..=(i + max_group_size).min(n);
-            if workers > 1 {
-                let task = LayerTask {
-                    layer: i,
-                    ends: ends.collect(),
-                    sources: std::mem::take(&mut sources),
-                };
-                for (end, partials, count, skipped) in pool.run_layer(task) {
-                    let target = target_layer(&mut layers, &mut spare, end, cells);
-                    partials.into_iter().for_each(|p| target.admit(p));
-                    tally(end, count, skipped);
-                }
-            } else {
-                for end in ends {
-                    let target = target_layer(&mut layers, &mut spare, end, cells);
-                    let (count, skipped) =
-                        expand_layer_end(arena, budget, comm_prune, i, end, &sources, |p| {
-                            target.admit(p)
-                        });
-                    tally(end, count, skipped);
-                }
-            }
+        if survivors.is_empty() {
+            continue;
         }
-        pool.shutdown();
-    });
+        materialize_layer(&survivors, &mut nodes, &mut sources);
+        for end in i + 1..=(i + max_group_size).min(n) {
+            let target = target_layer(&mut layers, &mut spare, end, cells);
+            let (count, skipped) =
+                expand_layer_end(arena, budget, comm_prune, i, end, &sources, |p| {
+                    target.admit(p)
+                });
+            tally(end, count, skipped);
+        }
+    }
 
     survivors.clear();
     if let Some(mut layer) = layers[n].take() {
@@ -1239,7 +1093,7 @@ pub(crate) fn beam(
             groupings_examined: groupings,
             states_pruned: pruned,
             groupings_comm_pruned: comm_pruned,
-            threads_used: workers,
+            threads_used: 1,
             elapsed_seconds: started.elapsed().as_secs_f64(),
         },
     }
@@ -1739,36 +1593,6 @@ mod tests {
             }
         }
 
-        /// The persistent-pool beam engine returns bit-identical curves
-        /// at 1 and 8 threads: same groupings, same allocations, same
-        /// power bits, same counters.
-        #[test]
-        fn beam_is_bit_identical_across_thread_counts(
-            cycles in prop::collection::vec(1u64..2_000, 2..8),
-            cap_picks in prop::collection::vec(0usize..6, 2..8),
-            budget in 2u32..32,
-            width in 1usize..40,
-        ) {
-            let n = cycles.len().min(cap_picks.len());
-            let caps: Vec<u32> = cap_picks[..n].iter().map(|&i| CAP_CHOICES[i]).collect();
-            let graph = chain(&cycles[..n], &caps);
-            let (ctx, evaluator) = context_and_evaluator(&graph);
-            let candidates = TileCandidates::PowersOfTwo;
-            let arena = IntervalArena::build(&ctx, &evaluator, candidates, budget, n);
-            let one = beam(&ctx, &arena, budget, n, width, 1, None);
-            let eight = beam(&ctx, &arena, budget, n, width, 8, None);
-            prop_assert_eq!(one.stats.mappings_evaluated, eight.stats.mappings_evaluated);
-            prop_assert_eq!(one.stats.groupings_examined, eight.stats.groupings_examined);
-            prop_assert_eq!(one.stats.states_pruned, eight.stats.states_pruned);
-            prop_assert_eq!(one.curve.len(), eight.curve.len());
-            for (a, b) in one.curve.iter().zip(&eight.curve) {
-                prop_assert_eq!(a.power_mw.to_bits(), b.power_mw.to_bits());
-                prop_assert_eq!(a.feasible, b.feasible);
-                prop_assert_eq!(&a.groups, &b.groups);
-                prop_assert_eq!(&a.allocation, &b.allocation);
-            }
-        }
-
         /// The work-stealing exhaustive engine returns bit-identical
         /// curves to the sequential clone-based reference, across 1 and
         /// 8 threads.
@@ -1824,7 +1648,7 @@ mod tests {
             // Width generous enough that the (power, cross) fronts are
             // never capped: a chain of ≤ 6 unit-token edges has at most
             // 6 distinct cross values per tile count.
-            let beamed = beam(&ctx, &arena, budget, n, 256, 2, comm);
+            let beamed = beam(&ctx, &arena, budget, n, 256, comm);
             for c in &beamed.curve {
                 prop_assert!(
                     ctx.grouping_cross_words(&c.groups) <= capacity,
@@ -1886,7 +1710,7 @@ mod tests {
         let wide = budget as usize + 1;
         let arena = IntervalArena::build(&ctx, &evaluator, TileCandidates::PowersOfTwo, budget, 5);
         let full = exhaustive(&ctx, &arena, budget, 5, 2, None);
-        let beamed = beam(&ctx, &arena, budget, 5, wide, 2, None);
+        let beamed = beam(&ctx, &arena, budget, 5, wide, None);
         // Every beam candidate must be a well-formed contiguous grouping
         // whose allocation sums to its tile count, and the best costs
         // must agree with the exhaustive engine.
@@ -1925,7 +1749,7 @@ mod tests {
         for c in &full.curve {
             assert!(ctx.grouping_cross_words(&c.groups) <= 2, "{:?}", c.groups);
         }
-        let beamed = beam(&ctx, &arena, 24, 4, 25, 2, comm);
+        let beamed = beam(&ctx, &arena, 24, 4, 25, comm);
         // The beam tracks committed cross words per partial, so every
         // surviving candidate fits the frame.  (It need not report comm
         // prunes here: a dominated overflowing prefix can fall to the
@@ -1948,7 +1772,7 @@ mod tests {
         let none = exhaustive(&ctx, &arena2, 24, 2, 2, Some(CommSpec::new(1, 0)));
         assert!(none.curve.is_empty());
         assert!(none.stats.groupings_comm_pruned > 0);
-        let none_beam = beam(&ctx, &arena2, 24, 2, 25, 2, Some(CommSpec::new(1, 0)));
+        let none_beam = beam(&ctx, &arena2, 24, 2, 25, Some(CommSpec::new(1, 0)));
         assert!(none_beam.curve.is_empty());
         assert!(none_beam.stats.groupings_comm_pruned > 0);
     }

@@ -46,7 +46,7 @@ use std::fmt;
 
 use synchro_bus::{BusError, BusOp, SegmentConfig, SegmentedBus};
 use synchro_sdf::{Mapping, SdfError, SdfGraph};
-use synchro_trace::{Trace, TraceEvent};
+use synchro_trace::{RouteRejectEvent, RouteSlotEvent, Trace, TraceEvent};
 
 pub use board::{
     board_flows, compile_board, compile_board_traced, BoardRoute, BoardSpec, BridgeFlow,
@@ -582,9 +582,11 @@ pub fn compile_traced(
 /// Emit a [`TraceEvent::RouteReject`] when `result` is an error.
 fn reject_on_err<T>(trace: &Trace, result: &Result<T, RouteError>) {
     if let Err(e) = result {
-        trace.emit(|| TraceEvent::RouteReject {
-            code: e.code(),
-            detail: e.to_string(),
+        trace.emit(|| {
+            TraceEvent::from(RouteRejectEvent {
+                code: e.code(),
+                detail: e.to_string(),
+            })
         });
     }
 }
@@ -721,13 +723,15 @@ pub(crate) fn compile_flows_inner(
                 });
             }
             let words = remaining.min(free);
-            trace.emit(|| TraceEvent::RouteSlot {
-                split: lanes[lane].split as u32,
-                cycle: lanes[lane].cursor,
-                from: flow.from as u32,
-                to: flow.to as u32,
-                words,
-                edge: flow.edge as u64,
+            trace.emit(|| {
+                TraceEvent::from(RouteSlotEvent {
+                    split: lanes[lane].split as u32,
+                    cycle: lanes[lane].cursor,
+                    from: flow.from as u32,
+                    to: flow.to as u32,
+                    words,
+                    edge: flow.edge as u64,
+                })
             });
             slots.push(TdmSlot {
                 split: lanes[lane].split,
@@ -920,13 +924,9 @@ mod tests {
         let tight = BusSpec::broadcast(3, 1, 6).unwrap();
         let err = compile_traced(&g, &m, &tight, &trace).unwrap_err();
         assert_eq!(err.code(), "period_overflow");
-        assert!(ring.events().iter().any(|e| matches!(
-            e,
-            TraceEvent::RouteReject {
-                code: "period_overflow",
-                ..
-            }
-        )));
+        assert!(ring.events().iter().any(
+            |e| matches!(e, TraceEvent::RouteReject(reject) if reject.code == "period_overflow")
+        ));
     }
 
     #[test]

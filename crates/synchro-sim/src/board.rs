@@ -15,7 +15,20 @@
 use crate::chip::Chip;
 use crate::column::ColumnError;
 use synchro_bus::BusStats;
-use synchro_trace::{Trace, TraceEvent};
+use synchro_trace::{BridgeTransferEvent, Trace, TraceEvent};
+
+/// The trace event of `count` occurrences of `slot` moving `words` words.
+fn bridge_event(slot: &BridgeTransfer, tick: u64, words: u64, count: u64) -> TraceEvent {
+    BridgeTransferEvent {
+        lane: slot.lane as u32,
+        from_chip: slot.from_chip as u32,
+        to_chip: slot.to_chip as u32,
+        tick,
+        words,
+        count,
+    }
+    .into()
+}
 
 /// One scheduled transfer of a [`BridgeProgram`]: `words` words over
 /// bridge lane `lane` from a column of `from_chip` to a column of
@@ -322,23 +335,12 @@ impl Board {
                     return;
                 }
                 let at = base.saturating_add(slot.tick);
-                let (lane, from_chip, to_chip) = (slot.lane, slot.from_chip, slot.to_chip);
-                let (words, cycles) = (slot.words, slot.cycles);
-                if self.lane_dead_at(lane, at) {
-                    // Dead lane: the slot is consumed but delivers nothing.
-                    let state = self.bridge_program.as_mut().expect("still loaded");
-                    state.next_slot += 1;
-                    continue;
+                if !self.lane_dead_at(slot.lane, at) {
+                    self.trace.emit(|| bridge_event(slot, at, slot.words, 1));
+                    let (lane, words, cycles) = (slot.lane, slot.words, slot.cycles);
+                    self.account_transfer(lane, words, cycles);
                 }
-                self.account_transfer(lane, words, cycles);
-                self.trace.emit(|| TraceEvent::BridgeTransfer {
-                    lane: lane as u32,
-                    from_chip: from_chip as u32,
-                    to_chip: to_chip as u32,
-                    tick: at,
-                    words,
-                    count: 1,
-                });
+                // A dead lane consumes the slot but delivers nothing.
                 let state = self.bridge_program.as_mut().expect("still loaded");
                 state.next_slot += 1;
             } else if base.saturating_add(state.program.period) <= end {
@@ -393,17 +395,10 @@ impl Board {
         if iteration < program.iterations {
             // Pending slots of the current (possibly partial) period.
             let base = origin.saturating_add(iteration.saturating_mul(program.period));
-            for i in next_slot..program.slots.len() {
-                let slot = program.slots[i].clone();
+            for slot in &program.slots[next_slot..] {
                 self.account_transfer(slot.lane, slot.words, slot.cycles);
-                self.trace.emit(|| TraceEvent::BridgeTransfer {
-                    lane: slot.lane as u32,
-                    from_chip: slot.from_chip as u32,
-                    to_chip: slot.to_chip as u32,
-                    tick: base.saturating_add(slot.tick),
-                    words: slot.words,
-                    count: 1,
-                });
+                self.trace
+                    .emit(|| bridge_event(slot, base.saturating_add(slot.tick), slot.words, 1));
             }
             // All remaining full periods, one bulk charge per slot and one
             // batched trace event per slot (normalizes to the per-period
@@ -412,15 +407,15 @@ impl Board {
             if full > 0 {
                 let last_base =
                     origin.saturating_add((program.iterations - 1).saturating_mul(program.period));
-                for slot in program.slots.clone() {
+                for slot in &program.slots {
                     self.account_transfer(slot.lane, slot.words * full, slot.cycles * full);
-                    self.trace.emit(|| TraceEvent::BridgeTransfer {
-                        lane: slot.lane as u32,
-                        from_chip: slot.from_chip as u32,
-                        to_chip: slot.to_chip as u32,
-                        tick: last_base.saturating_add(slot.tick),
-                        words: slot.words * full,
-                        count: full,
+                    self.trace.emit(|| {
+                        bridge_event(
+                            slot,
+                            last_base.saturating_add(slot.tick),
+                            slot.words * full,
+                            full,
+                        )
                     });
                 }
             }

@@ -3,7 +3,7 @@
 
 use crate::column::{Column, ColumnError, ColumnStats};
 use synchro_bus::{BusStats, HorizontalBus};
-use synchro_trace::{Trace, TraceEvent};
+use synchro_trace::{BusSlotEvent, Trace, TraceEvent};
 
 /// Chip-level statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,6 +110,43 @@ struct BusProgramState {
     next_slot: usize,
 }
 
+/// Move `words` words over the chip's horizontal bus and count them.  A
+/// free function over the two fields it touches, so the bus-program
+/// drive can issue a slot while still borrowing it from the program.
+fn transfer_words(
+    horizontal: &mut Option<HorizontalBus>,
+    stats: &mut ChipStats,
+    from: usize,
+    to: &[usize],
+    words: u64,
+) -> Result<(), synchro_bus::BusError> {
+    // `horizontal` is `Some` exactly when at least one column exists; a
+    // zero-column chip has no bus to transfer on.
+    let Some(bus) = horizontal.as_mut() else {
+        return Err(synchro_bus::BusError::IndexOutOfRange {
+            what: "column",
+            index: from,
+            limit: 0,
+        });
+    };
+    bus.transfer_words(from, to, words)?;
+    stats.horizontal_transfers += words;
+    Ok(())
+}
+
+/// The trace event of `count` occurrences of `slot` moving `words` words.
+fn bus_slot_event(chip: u32, tick: u64, slot: &BusSlot, words: u64, count: u64) -> TraceEvent {
+    BusSlotEvent {
+        chip,
+        tick,
+        from: slot.from as u32,
+        to: slot.to.iter().map(|&c| c as u32).collect(),
+        words,
+        count,
+    }
+    .into()
+}
+
 /// A Synchroscalar chip: a set of columns, each in its own clock (and
 /// voltage) domain, connected by one horizontal bus.
 #[derive(Debug, Default)]
@@ -213,18 +250,7 @@ impl Chip {
         to: &[usize],
         words: u64,
     ) -> Result<(), synchro_bus::BusError> {
-        // `horizontal` is `Some` exactly when at least one column exists; a
-        // zero-column chip has no bus to transfer on.
-        let Some(bus) = self.horizontal.as_mut() else {
-            return Err(synchro_bus::BusError::IndexOutOfRange {
-                what: "column",
-                index: from,
-                limit: 0,
-            });
-        };
-        bus.transfer_words(from, to, words)?;
-        self.stats.horizontal_transfers += words;
-        Ok(())
+        transfer_words(&mut self.horizontal, &mut self.stats, from, to, words)
     }
 
     /// Horizontal bus statistics, if any column exists.
@@ -269,55 +295,42 @@ impl Chip {
     /// program purely by reference time, so the two paths stay
     /// bit-identical.
     fn drive_bus_through(&mut self, end: u64) -> Result<(), ColumnError> {
-        let Some(state) = &self.bus_program else {
+        let Some(state) = self.bus_program.as_mut() else {
             return Ok(());
         };
-        if state.iteration >= state.program.iterations {
-            return Ok(());
-        }
-        loop {
-            let Some(state) = &self.bus_program else {
-                unreachable!("program checked above and never unloaded");
-            };
-            if state.iteration >= state.program.iterations {
-                return Ok(());
-            }
+        while state.iteration < state.program.iterations {
             let base = state
                 .origin
                 .saturating_add(state.iteration.saturating_mul(state.program.period));
-            if state.next_slot < state.program.slots.len() {
-                let slot = &state.program.slots[state.next_slot];
-                if base.saturating_add(slot.tick) >= end {
+            if let Some(slot) = state.program.slots.get(state.next_slot) {
+                let at = base.saturating_add(slot.tick);
+                if at >= end {
                     return Ok(());
                 }
-                let at = base.saturating_add(slot.tick);
-                let (from, to, words) = (slot.from, slot.to.clone(), slot.words);
-                self.horizontal_transfer_words(from, &to, words)
-                    .map_err(ColumnError::Bus)?;
-                self.trace.emit(|| TraceEvent::BusSlot {
-                    chip: self.chip_id,
-                    tick: at,
-                    from: from as u32,
-                    to: to.iter().map(|&c| c as u32).collect(),
-                    words,
-                    count: 1,
-                });
-                let state = self.bus_program.as_mut().expect("still loaded");
+                transfer_words(
+                    &mut self.horizontal,
+                    &mut self.stats,
+                    slot.from,
+                    &slot.to,
+                    slot.words,
+                )
+                .map_err(ColumnError::Bus)?;
+                self.trace
+                    .emit(|| bus_slot_event(self.chip_id, at, slot, slot.words, 1));
                 state.next_slot += 1;
             } else if base.saturating_add(state.program.period) <= end {
                 // The period's window has fully elapsed: account its
                 // scheduled (occupied + idle) TDM slots and roll over.
-                let scheduled = state.program.scheduled_slots_per_period;
                 if let Some(bus) = self.horizontal.as_mut() {
-                    bus.account_scheduled_slots(scheduled);
+                    bus.account_scheduled_slots(state.program.scheduled_slots_per_period);
                 }
-                let state = self.bus_program.as_mut().expect("still loaded");
                 state.iteration += 1;
                 state.next_slot = 0;
             } else {
                 return Ok(());
             }
         }
+        Ok(())
     }
 
     /// Drive the loaded bus program to completion regardless of how far
@@ -368,13 +381,14 @@ impl Chip {
             for slot in &program.slots[next_slot..] {
                 self.horizontal_transfer_words(slot.from, &slot.to, slot.words)
                     .map_err(ColumnError::Bus)?;
-                self.trace.emit(|| TraceEvent::BusSlot {
-                    chip: self.chip_id,
-                    tick: base.saturating_add(slot.tick),
-                    from: slot.from as u32,
-                    to: slot.to.iter().map(|&c| c as u32).collect(),
-                    words: slot.words,
-                    count: 1,
+                self.trace.emit(|| {
+                    bus_slot_event(
+                        self.chip_id,
+                        base.saturating_add(slot.tick),
+                        slot,
+                        slot.words,
+                        1,
+                    )
                 });
             }
             // All remaining full periods, one bulk transfer per slot — and
@@ -387,13 +401,14 @@ impl Chip {
                 for slot in &program.slots {
                     self.horizontal_transfer_words(slot.from, &slot.to, slot.words * full)
                         .map_err(ColumnError::Bus)?;
-                    self.trace.emit(|| TraceEvent::BusSlot {
-                        chip: self.chip_id,
-                        tick: last_base.saturating_add(slot.tick),
-                        from: slot.from as u32,
-                        to: slot.to.iter().map(|&c| c as u32).collect(),
-                        words: slot.words * full,
-                        count: full,
+                    self.trace.emit(|| {
+                        bus_slot_event(
+                            self.chip_id,
+                            last_base.saturating_add(slot.tick),
+                            slot,
+                            slot.words * full,
+                            full,
+                        )
                     });
                 }
             }
@@ -513,9 +528,12 @@ impl Chip {
     ///
     /// This is an event-driven fast path: with large or co-prime dividers
     /// most reference ticks select no column at all, and walking them one
-    /// by one costs O(ticks × columns).  The produced [`ChipStats`] are
-    /// bit-identical to the naive loop ([`Chip::run_ticked`]), which is
-    /// kept as the differential-testing reference.
+    /// by one costs O(ticks × columns).  Each column's next due tick is
+    /// computed once on entry and advanced by its divider whenever it
+    /// fires, so no tick pays a division.  The produced [`ChipStats`] and
+    /// trace events are bit-identical to the naive loop
+    /// ([`Chip::run_ticked`]), which is kept as the differential-testing
+    /// reference.
     ///
     /// # Errors
     ///
@@ -523,12 +541,20 @@ impl Chip {
     pub fn run(&mut self, max_ticks: u64) -> Result<u64, ColumnError> {
         let start = self.stats.reference_cycles;
         let end = start.saturating_add(max_ticks);
+        // The first tick >= start each column's divider selects.
+        let mut due: Vec<u64> = self
+            .columns
+            .iter()
+            .map(|c| {
+                let divider = u64::from(c.config().clock_divider);
+                start.div_ceil(divider).saturating_mul(divider)
+            })
+            .collect();
         while self.stats.reference_cycles < end {
             self.run_loop_iterations += 1;
             if self.all_halted() {
                 break;
             }
-            let now = self.stats.reference_cycles;
             // The earliest tick >= now at which a live column fires.
             // Failed columns never fire (their steps are unbilled no-ops),
             // so skipping them keeps `run` and `run_ticked` bit-identical
@@ -536,17 +562,25 @@ impl Chip {
             let next_event = self
                 .columns
                 .iter()
-                .filter(|c| !c.is_halted() && !c.is_failed())
-                .map(|c| {
-                    let divider = u64::from(c.config().clock_divider);
-                    now.div_ceil(divider) * divider
-                })
+                .zip(&due)
+                .filter(|(c, _)| !c.is_halted() && !c.is_failed())
+                .map(|(_, &at)| at)
                 .min();
             match next_event {
                 Some(at) if at < end => {
-                    // Ticks in (now, at) select nobody; account them in bulk.
-                    self.stats.reference_cycles = at;
-                    self.tick()?;
+                    // Ticks in (now, at) select nobody; account them in
+                    // bulk, then run tick `at` as `tick()` would: the bus
+                    // first, then every live column due at `at`, in order.
+                    self.stats.reference_cycles = at + 1;
+                    self.drive_bus_through(at + 1)?;
+                    for (column, due) in self.columns.iter_mut().zip(&mut due) {
+                        if *due == at && !column.is_halted() && !column.is_failed() {
+                            let before = column.stats().cycles;
+                            column.step()?;
+                            self.stats.column_cycles += column.stats().cycles - before;
+                            *due = at.saturating_add(u64::from(column.config().clock_divider));
+                        }
+                    }
                 }
                 // No live column fires inside the window: the remaining
                 // ticks are all empty for the columns, but scheduled bus
@@ -985,5 +1019,128 @@ mod tests {
         // A second window starts mid-period and fires at tick 1000.
         assert_eq!(chip.run(600).unwrap(), 600);
         assert_eq!(chip.column_stats()[0].cycles, 2);
+    }
+
+    /// The scheduler `run` replaced: a `div_ceil` per live column per
+    /// iteration, then `tick()`'s divisibility test per column.  Kept as
+    /// the oracle for `run_loop_iterations`, which `run_ticked` cannot
+    /// give.
+    fn div_ceil_run(chip: &mut Chip, max_ticks: u64) -> Result<u64, ColumnError> {
+        let start = chip.stats.reference_cycles;
+        let end = start.saturating_add(max_ticks);
+        while chip.stats.reference_cycles < end {
+            chip.run_loop_iterations += 1;
+            if chip.all_halted() {
+                break;
+            }
+            let now = chip.stats.reference_cycles;
+            let next_event = chip
+                .columns
+                .iter()
+                .filter(|c| !c.is_halted() && !c.is_failed())
+                .map(|c| {
+                    let divider = u64::from(c.config().clock_divider);
+                    now.div_ceil(divider) * divider
+                })
+                .min();
+            match next_event {
+                Some(at) if at < end => {
+                    chip.stats.reference_cycles = at;
+                    chip.tick()?;
+                }
+                _ => {
+                    chip.stats.reference_cycles = end;
+                    chip.drive_bus_through(end)?;
+                    break;
+                }
+            }
+        }
+        Ok(chip.stats.reference_cycles - start)
+    }
+
+    mod due_tick_properties {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::Arc;
+        use synchro_simd::RateMatcher;
+        use synchro_trace::RingBufferSink;
+
+        proptest! {
+            /// The due-tick scheduler agrees with the `div_ceil` scheduler
+            /// it replaced (loop iterations included) and with the naive
+            /// ticked loop, event for event in raw order, across uneven
+            /// windows, bus programs, rate matchers and a mid-run kill.
+            #[test]
+            fn due_tick_run_matches_div_ceil_and_ticked_runs(
+                columns in prop::collection::vec(any::<u64>(), 1..5),
+                slots in prop::collection::vec(any::<u64>(), 0..4),
+                program in any::<u64>(),
+                windows in prop::collection::vec(0u64..400, 1..7),
+                kill in any::<u64>(),
+            ) {
+                let n = columns.len();
+                let build = || {
+                    let ring = Arc::new(RingBufferSink::new(1 << 16));
+                    let mut chip = Chip::new();
+                    chip.set_trace(Trace::to(ring.clone()), 2);
+                    for &w in &columns {
+                        let iterations = 1 + (w % 40) as u32;
+                        let mut config =
+                            ColumnConfig::isca2004().with_divider(1 + ((w >> 8) % 9) as u32);
+                        if (w >> 16) % 3 == 0 {
+                            config.rate_matcher = RateMatcher::for_rates(200.0, 150.0);
+                        }
+                        let src =
+                            format!("loop {iterations}, 2\nli r0, 1\nadd r1, r1, r0\nhalt\n");
+                        chip.add_column(Column::new(config, assemble(&src).unwrap(), None));
+                    }
+                    let period = 1 + program % 50;
+                    let mut bus: Vec<BusSlot> = slots
+                        .iter()
+                        .map(|&w| BusSlot {
+                            tick: w % period,
+                            from: ((w >> 8) % n as u64) as usize,
+                            to: vec![((w >> 16) % n as u64) as usize],
+                            words: 1 + (w >> 24) % 4,
+                        })
+                        .collect();
+                    bus.sort_by_key(|s| s.tick);
+                    let iterations = (program >> 8) % 8;
+                    chip.load_bus_program(BusProgram::new(period, iterations, 2 * period, bus))
+                        .unwrap();
+                    (chip, ring)
+                };
+                let (mut due, due_ring) = build();
+                let (mut div, div_ring) = build();
+                let (mut ticked, ticked_ring) = build();
+                let kill_after = (kill % 8) as usize;
+                let victim = ((kill >> 8) % n as u64) as usize;
+                for (i, &window) in windows.iter().enumerate() {
+                    let a = due.run(window).unwrap();
+                    let b = div_ceil_run(&mut div, window).unwrap();
+                    let c = ticked.run_ticked(window).unwrap();
+                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(a, c);
+                    prop_assert_eq!(due.run_loop_iterations(), div.run_loop_iterations());
+                    if i == kill_after {
+                        for chip in [&mut due, &mut div, &mut ticked] {
+                            let at = chip.stats().reference_cycles;
+                            chip.fail_column(victim, at);
+                        }
+                    }
+                }
+                for chip in [&mut due, &mut div, &mut ticked] {
+                    chip.finish_bus_program().unwrap();
+                }
+                prop_assert_eq!(due.stats(), div.stats());
+                prop_assert_eq!(due.stats(), ticked.stats());
+                prop_assert_eq!(due.column_stats(), ticked.column_stats());
+                prop_assert_eq!(due.horizontal_stats(), ticked.horizontal_stats());
+                let events = due_ring.events();
+                prop_assert_eq!(due_ring.dropped(), 0);
+                prop_assert_eq!(&events, &div_ring.events());
+                prop_assert_eq!(&events, &ticked_ring.events());
+            }
+        }
     }
 }

@@ -111,16 +111,6 @@ impl PriceSpec {
         reference_ticks as f64 / (self.hyperperiod as f64 * self.iteration_rate_hz)
     }
 
-    fn column(&self, chip: u32, column: u32) -> Option<&ColumnPricing> {
-        self.columns
-            .iter()
-            .find(|c| c.chip == chip && c.column == column)
-    }
-
-    fn bus(&self, chip: u32) -> Option<&BusPricing> {
-        self.buses.iter().find(|b| b.chip == chip)
-    }
-
     /// Dynamic energy of one billed cycle of `column`, in joules (all
     /// tiles of the column clock together).
     fn cycle_energy_j(&self, column: &ColumnPricing) -> f64 {
@@ -130,6 +120,117 @@ impl PriceSpec {
     /// Leakage power of `column` in watts.
     fn leakage_w(&self, column: &ColumnPricing) -> f64 {
         self.leakage.power_mw(column.tiles, column.voltage) * 1e-3
+    }
+}
+
+/// The `(chip, column) → pricing row` and `chip → bus row` lookups of
+/// one [`PriceSpec`], built once per analysis call in one allocation, so
+/// short fast-tier streams stay cheap too.  A key resolves to its
+/// *first* matching spec row, exactly as a linear `find` would, and
+/// carries that row's unit energy: the same f64 the per-event pricing
+/// evaluated, so ledger sums built from it are bit-identical.
+struct PriceIndex {
+    /// Entries per chip: a header holding the chip id, one entry per
+    /// column id up to the largest, then the chip's bus.  Column ids
+    /// index a chip's columns, so the table stays small and dense.
+    width: usize,
+    /// `width` entries per distinct chip, in first-seen order.
+    table: Vec<PriceEntry>,
+}
+
+/// One [`PriceIndex`] table entry.
+#[derive(Debug, Clone, Copy)]
+struct PriceEntry {
+    /// Spec row ([`NO_ROW`] where the spec prices nothing), or in a
+    /// chip's header entry the chip id.
+    row: u32,
+    /// Energy of one unit on the row: a billed cycle for a column, a
+    /// transferred word for a bus (J).
+    unit_j: f64,
+}
+
+/// A [`PriceEntry`] naming no spec row.
+const NO_ROW: u32 = u32::MAX;
+
+impl PriceIndex {
+    fn new(spec: &PriceSpec) -> Self {
+        let columns = spec
+            .columns
+            .iter()
+            .map(|c| c.column as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let width = columns + 2;
+        let mut index = PriceIndex {
+            width,
+            table: Vec::with_capacity(width),
+        };
+        for (row, c) in spec.columns.iter().enumerate() {
+            index.claim(c.chip, 1 + c.column as usize, row, || {
+                spec.cycle_energy_j(c)
+            });
+        }
+        for (row, b) in spec.buses.iter().enumerate() {
+            index.claim(b.chip, width - 1, row, || {
+                spec.interconnect.word_energy_j(&b.geometry, b.voltage)
+            });
+        }
+        index
+    }
+
+    /// Point `chip`'s entry `at` at spec row `row` unless an earlier row
+    /// already claimed it.
+    fn claim(&mut self, chip: u32, at: usize, row: usize, unit_j: impl FnOnce() -> f64) {
+        let start = match self
+            .table
+            .chunks_exact(self.width)
+            .position(|e| e[0].row == chip)
+        {
+            Some(slot) => slot * self.width,
+            None => {
+                let start = self.table.len();
+                self.table.push(PriceEntry {
+                    row: chip,
+                    unit_j: 0.0,
+                });
+                let empty = PriceEntry {
+                    row: NO_ROW,
+                    unit_j: 0.0,
+                };
+                self.table.resize(start + self.width, empty);
+                start
+            }
+        };
+        let entry = &mut self.table[start + at];
+        if entry.row == NO_ROW {
+            *entry = PriceEntry {
+                row: row as u32,
+                unit_j: unit_j(),
+            };
+        }
+    }
+
+    /// The spec row at `chip`'s entry `at`, with its unit energy.
+    fn lookup(&self, chip: u32, at: usize) -> Option<(usize, f64)> {
+        let entries = self
+            .table
+            .chunks_exact(self.width)
+            .find(|e| e[0].row == chip)?;
+        let entry = entries[at];
+        (entry.row != NO_ROW).then_some((entry.row as usize, entry.unit_j))
+    }
+
+    /// The first column row pricing `(chip, column)` and the energy of
+    /// one of its billed cycles.
+    fn column(&self, chip: u32, column: u32) -> Option<(usize, f64)> {
+        let at = 1 + column as usize;
+        (at < self.width - 1).then(|| self.lookup(chip, at))?
+    }
+
+    /// The first bus row pricing `chip` and the energy of one of its
+    /// words.
+    fn bus(&self, chip: u32) -> Option<(usize, f64)> {
+        self.lookup(chip, self.width - 1)
     }
 }
 
@@ -331,6 +432,10 @@ pub fn attribute(events: &[TraceEvent], spec: &PriceSpec, reference_ticks: u64) 
         .collect();
     let mut bridges: Vec<BridgeEnergy> = Vec::new();
     let mut unpriced = 0u64;
+    let index = PriceIndex::new(spec);
+    let bridge_word_j = spec
+        .interconnect
+        .bridge_word_energy_j(spec.bridge_energy_pj_per_word);
 
     for event in events {
         match event {
@@ -339,14 +444,10 @@ pub fn attribute(events: &[TraceEvent], spec: &PriceSpec, reference_ticks: u64) 
                 column,
                 count,
                 ..
-            } => match spec.column(*chip, *column) {
-                Some(pricing) => {
-                    let row = columns
-                        .iter_mut()
-                        .find(|c| c.chip == *chip && c.column == *column)
-                        .expect("ledger rows mirror the spec");
-                    row.cycles += count;
-                    row.dynamic_j += spec.cycle_energy_j(pricing) * *count as f64;
+            } => match index.column(*chip, *column) {
+                Some((row, cycle_j)) => {
+                    columns[row].cycles += count;
+                    columns[row].dynamic_j += cycle_j * *count as f64;
                 }
                 None => unpriced += 1,
             },
@@ -355,50 +456,31 @@ pub fn attribute(events: &[TraceEvent], spec: &PriceSpec, reference_ticks: u64) 
                 column,
                 cycles,
                 ..
-            } => match columns
-                .iter_mut()
-                .find(|c| c.chip == *chip && c.column == *column)
-            {
+            } => match index.column(*chip, *column) {
                 // Stall slots are billed cycles and already priced via
                 // their DividerTick; record them for the stall share only.
-                Some(row) => row.zorm_stall_cycles += cycles,
+                Some((row, _)) => columns[row].zorm_stall_cycles += cycles,
                 None => unpriced += 1,
             },
-            TraceEvent::BusSlot { chip, words: w, .. } => match spec.bus(*chip) {
-                Some(pricing) => {
-                    let row = buses
-                        .iter_mut()
-                        .find(|b| b.chip == *chip)
-                        .expect("ledger rows mirror the spec");
-                    row.words += w;
-                    row.energy_j += spec
-                        .interconnect
-                        .word_energy_j(&pricing.geometry, pricing.voltage)
-                        * *w as f64;
+            TraceEvent::BusSlot(slot) => match index.bus(slot.chip) {
+                Some((row, word_j)) => {
+                    buses[row].words += slot.words;
+                    buses[row].energy_j += word_j * slot.words as f64;
                 }
                 None => unpriced += 1,
             },
-            TraceEvent::BridgeTransfer {
-                lane,
-                from_chip,
-                to_chip,
-                words: w,
-                ..
-            } => {
-                let energy = spec
-                    .interconnect
-                    .bridge_word_energy_j(spec.bridge_energy_pj_per_word)
-                    * *w as f64;
-                match bridges.iter_mut().find(|b| b.lane == *lane) {
+            TraceEvent::BridgeTransfer(transfer) => {
+                let energy = bridge_word_j * transfer.words as f64;
+                match bridges.iter_mut().find(|b| b.lane == transfer.lane) {
                     Some(row) => {
-                        row.words += w;
+                        row.words += transfer.words;
                         row.energy_j += energy;
                     }
                     None => bridges.push(BridgeEnergy {
-                        lane: *lane,
-                        from_chip: *from_chip,
-                        to_chip: *to_chip,
-                        words: *w,
+                        lane: transfer.lane,
+                        from_chip: transfer.from_chip,
+                        to_chip: transfer.to_chip,
+                        words: transfer.words,
                         energy_j: energy,
                     }),
                 }
@@ -467,6 +549,10 @@ pub fn power_timeline(
     let mut compute_j = vec![0.0f64; buckets];
     let mut interconnect_j = vec![0.0f64; buckets];
     let bucket_of = |tick: u64| ((tick / bucket_ticks) as usize).min(buckets - 1);
+    let index = PriceIndex::new(spec);
+    let bridge_word_j = spec
+        .interconnect
+        .bridge_word_energy_j(spec.bridge_energy_pj_per_word);
 
     for event in events {
         match event {
@@ -476,25 +562,17 @@ pub fn power_timeline(
                 tick,
                 count,
             } => {
-                if let Some(pricing) = spec.column(*chip, *column) {
-                    compute_j[bucket_of(*tick)] += spec.cycle_energy_j(pricing) * *count as f64;
+                if let Some((_, cycle_j)) = index.column(*chip, *column) {
+                    compute_j[bucket_of(*tick)] += cycle_j * *count as f64;
                 }
             }
-            TraceEvent::BusSlot {
-                chip, tick, words, ..
-            } => {
-                if let Some(pricing) = spec.bus(*chip) {
-                    interconnect_j[bucket_of(*tick)] += spec
-                        .interconnect
-                        .word_energy_j(&pricing.geometry, pricing.voltage)
-                        * *words as f64;
+            TraceEvent::BusSlot(slot) => {
+                if let Some((_, word_j)) = index.bus(slot.chip) {
+                    interconnect_j[bucket_of(slot.tick)] += word_j * slot.words as f64;
                 }
             }
-            TraceEvent::BridgeTransfer { tick, words, .. } => {
-                interconnect_j[bucket_of(*tick)] += spec
-                    .interconnect
-                    .bridge_word_energy_j(spec.bridge_energy_pj_per_word)
-                    * *words as f64;
+            TraceEvent::BridgeTransfer(transfer) => {
+                interconnect_j[bucket_of(transfer.tick)] += bridge_word_j * transfer.words as f64;
             }
             _ => {}
         }
@@ -651,6 +729,8 @@ pub fn bottlenecks(
         stall_cycles: 0,
     };
 
+    let index = PriceIndex::new(spec);
+
     for event in events {
         match event {
             TraceEvent::DividerTick {
@@ -659,11 +739,7 @@ pub fn bottlenecks(
                 count,
                 ..
             } => {
-                if let Some(i) = spec
-                    .columns
-                    .iter()
-                    .position(|c| c.chip == *chip && c.column == *column)
-                {
+                if let Some((i, _)) = index.column(*chip, *column) {
                     tracks[i].used += count;
                 }
             }
@@ -673,20 +749,16 @@ pub fn bottlenecks(
                 cycles,
                 ..
             } => {
-                if let Some(i) = spec
-                    .columns
-                    .iter()
-                    .position(|c| c.chip == *chip && c.column == *column)
-                {
+                if let Some((i, _)) = index.column(*chip, *column) {
                     tracks[i].stall_cycles += cycles;
                 }
             }
-            TraceEvent::BusSlot { chip, words, .. } => {
-                if let Some(i) = spec.buses.iter().position(|b| b.chip == *chip) {
-                    tracks[columns + i].used += words;
+            TraceEvent::BusSlot(slot) => {
+                if let Some((i, _)) = index.bus(slot.chip) {
+                    tracks[columns + i].used += slot.words;
                 }
             }
-            TraceEvent::BridgeTransfer { words, .. } => bridge.used += words,
+            TraceEvent::BridgeTransfer(transfer) => bridge.used += transfer.words,
             _ => {}
         }
     }
@@ -824,8 +896,8 @@ impl TraceSink for RejectionLedger {
     fn record(&self, event: &TraceEvent) {
         let mut state = self.state.lock().expect("rejection ledger poisoned");
         match event {
-            TraceEvent::RouteReject { code, detail } => {
-                state.add(code, 1, || detail.clone());
+            TraceEvent::RouteReject(reject) => {
+                state.add(reject.code, 1, || reject.detail.clone());
             }
             TraceEvent::Counter { name, delta }
                 if *delta > 0 && name.ends_with("groupings_comm_pruned") =>
@@ -852,9 +924,296 @@ impl TraceSink for RejectionLedger {
     }
 }
 
+/// The scan-per-event pricing the indexed [`attribute`],
+/// [`power_timeline`] and [`bottlenecks`] replaced, kept as the oracle
+/// they are property-tested against bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    fn column(spec: &PriceSpec, chip: u32, column: u32) -> Option<&ColumnPricing> {
+        spec.columns
+            .iter()
+            .find(|c| c.chip == chip && c.column == column)
+    }
+
+    fn bus(spec: &PriceSpec, chip: u32) -> Option<&BusPricing> {
+        spec.buses.iter().find(|b| b.chip == chip)
+    }
+
+    pub fn attribute(
+        events: &[TraceEvent],
+        spec: &PriceSpec,
+        reference_ticks: u64,
+    ) -> EnergyLedger {
+        let duration_s = spec.duration_s(reference_ticks);
+        let mut columns: Vec<ColumnEnergy> = spec
+            .columns
+            .iter()
+            .map(|c| ColumnEnergy {
+                chip: c.chip,
+                column: c.column,
+                label: c.label.clone(),
+                cycles: 0,
+                zorm_stall_cycles: 0,
+                dynamic_j: 0.0,
+                leakage_j: spec.leakage_w(c) * duration_s,
+            })
+            .collect();
+        let mut buses: Vec<BusEnergy> = spec
+            .buses
+            .iter()
+            .map(|b| BusEnergy {
+                chip: b.chip,
+                words: 0,
+                energy_j: 0.0,
+            })
+            .collect();
+        let mut bridges: Vec<BridgeEnergy> = Vec::new();
+        let mut unpriced = 0u64;
+
+        for event in events {
+            match event {
+                TraceEvent::DividerTick {
+                    chip,
+                    column: col,
+                    count,
+                    ..
+                } => match column(spec, *chip, *col) {
+                    Some(pricing) => {
+                        let row = columns
+                            .iter_mut()
+                            .find(|c| c.chip == *chip && c.column == *col)
+                            .expect("ledger rows mirror the spec");
+                        row.cycles += count;
+                        row.dynamic_j += spec.cycle_energy_j(pricing) * *count as f64;
+                    }
+                    None => unpriced += 1,
+                },
+                TraceEvent::ZormStall {
+                    chip,
+                    column: col,
+                    cycles,
+                    ..
+                } => match columns
+                    .iter_mut()
+                    .find(|c| c.chip == *chip && c.column == *col)
+                {
+                    Some(row) => row.zorm_stall_cycles += cycles,
+                    None => unpriced += 1,
+                },
+                TraceEvent::BusSlot(slot) => match bus(spec, slot.chip) {
+                    Some(pricing) => {
+                        let row = buses
+                            .iter_mut()
+                            .find(|b| b.chip == slot.chip)
+                            .expect("ledger rows mirror the spec");
+                        row.words += slot.words;
+                        row.energy_j += spec
+                            .interconnect
+                            .word_energy_j(&pricing.geometry, pricing.voltage)
+                            * slot.words as f64;
+                    }
+                    None => unpriced += 1,
+                },
+                TraceEvent::BridgeTransfer(transfer) => {
+                    let energy = spec
+                        .interconnect
+                        .bridge_word_energy_j(spec.bridge_energy_pj_per_word)
+                        * transfer.words as f64;
+                    match bridges.iter_mut().find(|b| b.lane == transfer.lane) {
+                        Some(row) => {
+                            row.words += transfer.words;
+                            row.energy_j += energy;
+                        }
+                        None => bridges.push(BridgeEnergy {
+                            lane: transfer.lane,
+                            from_chip: transfer.from_chip,
+                            to_chip: transfer.to_chip,
+                            words: transfer.words,
+                            energy_j: energy,
+                        }),
+                    }
+                }
+                _ => {}
+            }
+        }
+        bridges.sort_by_key(|b| b.lane);
+        EnergyLedger {
+            reference_ticks,
+            duration_s,
+            columns,
+            buses,
+            bridges,
+            unpriced_events: unpriced,
+        }
+    }
+
+    pub fn power_timeline(
+        events: &[TraceEvent],
+        spec: &PriceSpec,
+        reference_ticks: u64,
+        buckets: usize,
+    ) -> PowerTimeline {
+        let buckets = buckets.max(1);
+        let bucket_ticks = reference_ticks.div_ceil(buckets as u64).max(1);
+        let bucket_seconds = spec.duration_s(bucket_ticks);
+        let leakage_mw: f64 = spec.columns.iter().map(|c| spec.leakage_w(c) * 1e3).sum();
+        let mut compute_j = vec![0.0f64; buckets];
+        let mut interconnect_j = vec![0.0f64; buckets];
+        let bucket_of = |tick: u64| ((tick / bucket_ticks) as usize).min(buckets - 1);
+
+        for event in events {
+            match event {
+                TraceEvent::DividerTick {
+                    chip,
+                    column: col,
+                    tick,
+                    count,
+                } => {
+                    if let Some(pricing) = column(spec, *chip, *col) {
+                        compute_j[bucket_of(*tick)] += spec.cycle_energy_j(pricing) * *count as f64;
+                    }
+                }
+                TraceEvent::BusSlot(slot) => {
+                    if let Some(pricing) = bus(spec, slot.chip) {
+                        interconnect_j[bucket_of(slot.tick)] += spec
+                            .interconnect
+                            .word_energy_j(&pricing.geometry, pricing.voltage)
+                            * slot.words as f64;
+                    }
+                }
+                TraceEvent::BridgeTransfer(transfer) => {
+                    interconnect_j[bucket_of(transfer.tick)] += spec
+                        .interconnect
+                        .bridge_word_energy_j(spec.bridge_energy_pj_per_word)
+                        * transfer.words as f64;
+                }
+                _ => {}
+            }
+        }
+
+        let to_mw = |j: f64| {
+            if bucket_seconds > 0.0 {
+                j / bucket_seconds * 1e3
+            } else {
+                0.0
+            }
+        };
+        PowerTimeline {
+            bucket_ticks,
+            bucket_seconds,
+            samples: (0..buckets)
+                .map(|i| PowerSample {
+                    start_tick: i as u64 * bucket_ticks,
+                    compute_mw: to_mw(compute_j[i]),
+                    interconnect_mw: to_mw(interconnect_j[i]),
+                    leakage_mw,
+                })
+                .collect(),
+        }
+    }
+
+    pub fn bottlenecks(
+        events: &[TraceEvent],
+        spec: &PriceSpec,
+        reference_ticks: u64,
+    ) -> BottleneckReport {
+        let iterations = reference_ticks.checked_div(spec.hyperperiod).unwrap_or(0);
+        let mut tracks: Vec<TrackLoad> = spec
+            .columns
+            .iter()
+            .map(|c| TrackLoad {
+                label: format!(
+                    "chip{}/col{} {} (\u{f7}{})",
+                    c.chip, c.column, c.label, c.clock_divider
+                ),
+                used: 0,
+                capacity: reference_ticks / u64::from(c.clock_divider.max(1)),
+                stall_cycles: 0,
+            })
+            .collect();
+        let columns = tracks.len();
+        tracks.extend(spec.buses.iter().map(|b| TrackLoad {
+            label: format!("chip{}/horizontal bus", b.chip),
+            used: 0,
+            capacity: b.scheduled_slots_per_iteration * iterations,
+            stall_cycles: 0,
+        }));
+        let mut bridge = TrackLoad {
+            label: "bridge lanes".to_owned(),
+            used: 0,
+            capacity: spec.bridge_scheduled_slots_per_iteration * iterations,
+            stall_cycles: 0,
+        };
+
+        for event in events {
+            match event {
+                TraceEvent::DividerTick {
+                    chip,
+                    column,
+                    count,
+                    ..
+                } => {
+                    if let Some(i) = spec
+                        .columns
+                        .iter()
+                        .position(|c| c.chip == *chip && c.column == *column)
+                    {
+                        tracks[i].used += count;
+                    }
+                }
+                TraceEvent::ZormStall {
+                    chip,
+                    column,
+                    cycles,
+                    ..
+                } => {
+                    if let Some(i) = spec
+                        .columns
+                        .iter()
+                        .position(|c| c.chip == *chip && c.column == *column)
+                    {
+                        tracks[i].stall_cycles += cycles;
+                    }
+                }
+                TraceEvent::BusSlot(slot) => {
+                    if let Some(i) = spec.buses.iter().position(|b| b.chip == slot.chip) {
+                        tracks[columns + i].used += slot.words;
+                    }
+                }
+                TraceEvent::BridgeTransfer(transfer) => bridge.used += transfer.words,
+                _ => {}
+            }
+        }
+        if bridge.capacity > 0 || bridge.used > 0 {
+            tracks.push(bridge);
+        }
+
+        let binding = tracks.iter().filter(|t| t.used > 0).max_by(|a, b| {
+            a.utilization()
+                .total_cmp(&b.utilization())
+                .then(a.used.cmp(&b.used))
+        });
+        let (binding, utilization) = match binding {
+            Some(t) => (Some(t.label.clone()), t.utilization()),
+            None => (None, 0.0),
+        };
+        BottleneckReport {
+            hyperperiod: spec.hyperperiod,
+            headroom_ticks_per_hyperperiod: ((1.0 - utilization) * spec.hyperperiod as f64).round()
+                as u64,
+            tracks,
+            binding,
+            binding_utilization: utilization,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BridgeTransferEvent, BusSlotEvent, RouteRejectEvent};
     use synchro_power::Technology;
 
     fn spec() -> PriceSpec {
@@ -915,22 +1274,24 @@ mod tests {
                 tick: 3,
                 cycles: 5,
             },
-            TraceEvent::BusSlot {
+            BusSlotEvent {
                 chip: 0,
                 tick: 10,
                 from: 0,
                 to: vec![1],
                 words: 8,
                 count: 8,
-            },
-            TraceEvent::BridgeTransfer {
+            }
+            .into(),
+            BridgeTransferEvent {
                 lane: 0,
                 from_chip: 0,
                 to_chip: 1,
                 tick: 20,
                 words: 4,
                 count: 2,
-            },
+            }
+            .into(),
         ];
         let ledger = attribute(&events, &spec, 100);
         // 100 ticks of a 100-tick hyperperiod at 1 MHz = 1 µs.
@@ -998,14 +1359,15 @@ mod tests {
         let events = vec![
             tick(0, 0, 80),
             tick(1, 1, 10),
-            TraceEvent::BusSlot {
+            BusSlotEvent {
                 chip: 0,
                 tick: 5,
                 from: 0,
                 to: vec![1],
                 words: 2,
                 count: 2,
-            },
+            }
+            .into(),
         ];
         let report = bottlenecks(&events, &spec, 100);
         assert_eq!(report.binding.as_deref(), Some("chip0/col0 a (\u{f7}1)"));
@@ -1018,15 +1380,21 @@ mod tests {
     fn rejection_ledger_ranks_classes_and_explains() {
         let ledger = RejectionLedger::new();
         for _ in 0..3 {
-            ledger.record(&TraceEvent::RouteReject {
-                code: "period_overflow",
-                detail: "46 words exceed 25 slots".to_owned(),
-            });
+            ledger.record(
+                &RouteRejectEvent {
+                    code: "period_overflow",
+                    detail: "46 words exceed 25 slots".to_owned(),
+                }
+                .into(),
+            );
         }
-        ledger.record(&TraceEvent::RouteReject {
-            code: "budget_too_small",
-            detail: "tile budget 4 cannot host 24 column groups".to_owned(),
-        });
+        ledger.record(
+            &RouteRejectEvent {
+                code: "budget_too_small",
+                detail: "tile budget 4 cannot host 24 column groups".to_owned(),
+            }
+            .into(),
+        );
         ledger.record(&TraceEvent::Counter {
             name: "explore.beam.groupings_comm_pruned",
             delta: 2,
@@ -1055,5 +1423,253 @@ mod tests {
         assert!(ledger.is_empty());
         assert!(ledger.dominant().is_none());
         assert!(ledger.explain("t").contains("no rejections"));
+    }
+}
+
+/// The indexed pricing against the scan-per-event [`reference`] on random
+/// specs and streams: duplicate `(chip, column)` rows, sparse chip ids,
+/// chips without a bus, and events naming unknown hardware.
+#[cfg(test)]
+mod oracle_properties {
+    use super::*;
+    use crate::{BridgeTransferEvent, BusSlotEvent};
+    use proptest::prelude::*;
+    use synchro_power::Technology;
+
+    /// Sparse chip ids: the spec draws from the first five, events from
+    /// all seven (the last two are never priced).
+    const CHIPS: [u32; 7] = [0, 1, 3, 7, 1_000, 5, 99];
+
+    fn bits(word: u64, shift: u32, modulus: u64) -> u64 {
+        (word >> shift) % modulus
+    }
+
+    fn spec_from(rows: &[u64], buses: &[u64], shape: u64) -> PriceSpec {
+        let tech = Technology::isca2004();
+        PriceSpec {
+            iteration_rate_hz: [0.0, 1e3, 2.5e5, 1e6][bits(shape, 0, 4) as usize],
+            hyperperiod: bits(shape, 8, 200),
+            tile_power: TilePowerModel::new(&tech),
+            leakage: LeakageModel::new(&tech),
+            interconnect: InterconnectModel::new(&tech),
+            columns: rows
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| ColumnPricing {
+                    chip: CHIPS[bits(w, 0, 5) as usize],
+                    column: bits(w, 8, 6) as u32,
+                    label: format!("row{i}"),
+                    tiles: bits(w, 16, 9) as u32,
+                    voltage: 0.6 + bits(w, 24, 60) as f64 * 0.01,
+                    clock_divider: bits(w, 32, 6) as u32,
+                })
+                .collect(),
+            buses: buses
+                .iter()
+                .map(|&w| BusPricing {
+                    chip: CHIPS[bits(w, 0, 5) as usize],
+                    geometry: BusGeometry::horizontal(&tech),
+                    voltage: 0.6 + bits(w, 8, 60) as f64 * 0.01,
+                    scheduled_slots_per_iteration: bits(w, 16, 40),
+                })
+                .collect(),
+            bridge_energy_pj_per_word: bits(shape, 16, 50) as f64 * 0.25,
+            bridge_scheduled_slots_per_iteration: bits(shape, 24, 8),
+        }
+    }
+
+    fn event_from(w: u64) -> TraceEvent {
+        let chip = CHIPS[bits(w, 4, 7) as usize];
+        let column = bits(w, 8, 8) as u32;
+        let tick = bits(w, 12, 5_000);
+        let count = bits(w, 28, 300);
+        match bits(w, 0, 7) {
+            0 | 1 => TraceEvent::DividerTick {
+                chip,
+                column,
+                tick,
+                count,
+            },
+            2 => TraceEvent::ZormStall {
+                chip,
+                column,
+                tick,
+                cycles: count,
+            },
+            3 => BusSlotEvent {
+                chip,
+                tick,
+                from: column,
+                to: vec![column + 1],
+                words: count,
+                count: 1 + bits(w, 40, 4),
+            }
+            .into(),
+            4 => BridgeTransferEvent {
+                lane: bits(w, 40, 3) as u32,
+                from_chip: chip,
+                to_chip: column,
+                tick,
+                words: count,
+                count: 1,
+            }
+            .into(),
+            5 => TraceEvent::ColumnFiring {
+                chip,
+                column,
+                tick,
+                count,
+            },
+            _ => TraceEvent::Counter {
+                name: "explore.states_pruned",
+                delta: count,
+            },
+        }
+    }
+
+    /// Every field of a ledger, f64s by their bits.
+    fn ledger_bits(l: &EnergyLedger) -> Vec<String> {
+        let mut out = vec![format!(
+            "{} {} {}",
+            l.reference_ticks,
+            l.duration_s.to_bits(),
+            l.unpriced_events
+        )];
+        out.extend(l.columns.iter().map(|c| {
+            format!(
+                "{} {} {} {} {} {} {}",
+                c.chip,
+                c.column,
+                c.label,
+                c.cycles,
+                c.zorm_stall_cycles,
+                c.dynamic_j.to_bits(),
+                c.leakage_j.to_bits()
+            )
+        }));
+        out.extend(
+            l.buses
+                .iter()
+                .map(|b| format!("{} {} {}", b.chip, b.words, b.energy_j.to_bits())),
+        );
+        out.extend(l.bridges.iter().map(|b| {
+            format!(
+                "{} {} {} {} {}",
+                b.lane,
+                b.from_chip,
+                b.to_chip,
+                b.words,
+                b.energy_j.to_bits()
+            )
+        }));
+        out
+    }
+
+    fn bottleneck_bits(r: &BottleneckReport) -> Vec<String> {
+        let mut out = vec![format!(
+            "{} {:?} {} {}",
+            r.hyperperiod,
+            r.binding,
+            r.binding_utilization.to_bits(),
+            r.headroom_ticks_per_hyperperiod
+        )];
+        out.extend(
+            r.tracks
+                .iter()
+                .map(|t| format!("{} {} {} {}", t.label, t.used, t.capacity, t.stall_cycles)),
+        );
+        out
+    }
+
+    fn timeline_bits(t: &PowerTimeline) -> Vec<String> {
+        let mut out = vec![format!("{} {}", t.bucket_ticks, t.bucket_seconds.to_bits())];
+        out.extend(t.samples.iter().map(|s| {
+            format!(
+                "{} {} {} {}",
+                s.start_tick,
+                s.compute_mw.to_bits(),
+                s.interconnect_mw.to_bits(),
+                s.leakage_mw.to_bits()
+            )
+        }));
+        out
+    }
+
+    proptest! {
+        /// Indexed pricing is bit-identical to the scan-per-event oracle:
+        /// every ledger f64, `unpriced_events`, track loads, binding
+        /// label, headroom and timeline sample.
+        #[test]
+        fn indexed_pricing_matches_the_linear_scan_oracle(
+            rows in prop::collection::vec(any::<u64>(), 0..12),
+            buses in prop::collection::vec(any::<u64>(), 0..4),
+            shape in any::<u64>(),
+            stream in prop::collection::vec(any::<u64>(), 0..300),
+            reference_ticks in 0u64..6_000,
+            buckets in 0usize..9,
+        ) {
+            let spec = spec_from(&rows, &buses, shape);
+            let events: Vec<TraceEvent> = stream.iter().map(|&w| event_from(w)).collect();
+            prop_assert_eq!(
+                ledger_bits(&attribute(&events, &spec, reference_ticks)),
+                ledger_bits(&reference::attribute(&events, &spec, reference_ticks))
+            );
+            prop_assert_eq!(
+                bottleneck_bits(&bottlenecks(&events, &spec, reference_ticks)),
+                bottleneck_bits(&reference::bottlenecks(&events, &spec, reference_ticks))
+            );
+            prop_assert_eq!(
+                timeline_bits(&power_timeline(&events, &spec, reference_ticks, buckets)),
+                timeline_bits(&reference::power_timeline(
+                    &events,
+                    &spec,
+                    reference_ticks,
+                    buckets
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_rows_price_at_the_first_match() {
+        // Two rows for chip 7 column 2 at different voltages: the events
+        // bill the first, the second stays empty.
+        let mut spec = spec_from(&[], &[], 3);
+        for voltage in [0.9, 1.1] {
+            spec.columns.push(ColumnPricing {
+                chip: 7,
+                column: 2,
+                label: format!("{voltage}"),
+                tiles: 2,
+                voltage,
+                clock_divider: 1,
+            });
+        }
+        let tick = |count| TraceEvent::DividerTick {
+            chip: 7,
+            column: 2,
+            tick: 0,
+            count,
+        };
+        let ledger = attribute(&[tick(3), tick(4)], &spec, 100);
+        assert_eq!(ledger.columns[0].cycles, 7);
+        assert_eq!(ledger.columns[1].cycles, 0);
+        assert_eq!(ledger.unpriced_events, 0);
+        // Neighbouring ids on the same or an absent chip stay unpriced.
+        let stray = [
+            TraceEvent::DividerTick {
+                chip: 7,
+                column: 3,
+                tick: 0,
+                count: 1,
+            },
+            TraceEvent::DividerTick {
+                chip: 6,
+                column: 2,
+                tick: 0,
+                count: 1,
+            },
+        ];
+        assert_eq!(attribute(&stray, &spec, 100).unpriced_events, 2);
     }
 }

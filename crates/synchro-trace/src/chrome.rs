@@ -15,7 +15,7 @@
 
 use crate::analyze::PowerTimeline;
 use crate::json::Value;
-use crate::TraceEvent;
+use crate::{BridgeTransferEvent, BusSlotEvent, RouteRejectEvent, RouteSlotEvent, TraceEvent};
 
 const PID_COMPILE: u64 = 1;
 const PID_BOARD: u64 = 2;
@@ -173,14 +173,15 @@ fn build(events: &[TraceEvent]) -> Vec<Value> {
                     vec![("count".to_owned(), Value::num(*count))],
                 ));
             }
-            TraceEvent::BusSlot {
-                chip,
-                tick,
-                from,
-                to,
-                words,
-                count,
-            } => {
+            TraceEvent::BusSlot(slot) => {
+                let BusSlotEvent {
+                    chip,
+                    tick,
+                    from,
+                    to,
+                    words,
+                    count,
+                } = &**slot;
                 let (pid, tid) = (PID_CHIP_BASE + u64::from(*chip), TID_HORIZONTAL_BUS);
                 track(pid, tid, "horizontal bus".to_owned());
                 let to_list = to
@@ -205,14 +206,15 @@ fn build(events: &[TraceEvent]) -> Vec<Value> {
                     ],
                 ));
             }
-            TraceEvent::BridgeTransfer {
-                lane,
-                from_chip,
-                to_chip,
-                tick,
-                words,
-                count,
-            } => {
+            TraceEvent::BridgeTransfer(transfer) => {
+                let BridgeTransferEvent {
+                    lane,
+                    from_chip,
+                    to_chip,
+                    tick,
+                    words,
+                    count,
+                } = &**transfer;
                 let (pid, tid) = (PID_BOARD, u64::from(*lane));
                 track(pid, tid, format!("bridge lane {lane}"));
                 out.push(with_args(
@@ -242,14 +244,15 @@ fn build(events: &[TraceEvent]) -> Vec<Value> {
                 seq += 1;
                 out.push(with_args(event(phase, "E", seq, PID_COMPILE, 0), vec![]));
             }
-            TraceEvent::RouteSlot {
-                split,
-                cycle,
-                from,
-                to,
-                words,
-                edge,
-            } => {
+            TraceEvent::RouteSlot(slot) => {
+                let RouteSlotEvent {
+                    split,
+                    cycle,
+                    from,
+                    to,
+                    words,
+                    edge,
+                } = &**slot;
                 track(
                     PID_COMPILE,
                     1 + u64::from(*split),
@@ -272,7 +275,8 @@ fn build(events: &[TraceEvent]) -> Vec<Value> {
                     ],
                 ));
             }
-            TraceEvent::RouteReject { code, detail } => {
+            TraceEvent::RouteReject(reject) => {
+                let RouteRejectEvent { code, detail } = &**reject;
                 track(PID_COMPILE, 0, "phases".to_owned());
                 seq += 1;
                 let mut fields = event(&format!("route reject: {code}"), "i", seq, PID_COMPILE, 0);
@@ -355,14 +359,15 @@ mod tests {
             TraceEvent::PhaseBegin {
                 phase: "mapper.compile",
             },
-            TraceEvent::RouteSlot {
+            RouteSlotEvent {
                 split: 0,
                 cycle: 3,
                 from: 0,
                 to: 1,
                 words: 4,
                 edge: 2,
-            },
+            }
+            .into(),
             TraceEvent::PhaseEnd {
                 phase: "mapper.compile",
             },
@@ -372,22 +377,24 @@ mod tests {
                 tick: 125,
                 count: 1,
             },
-            TraceEvent::BusSlot {
+            BusSlotEvent {
                 chip: 0,
                 tick: 40,
                 from: 1,
                 to: vec![2, 3],
                 words: 8,
                 count: 1,
-            },
-            TraceEvent::BridgeTransfer {
+            }
+            .into(),
+            BridgeTransferEvent {
                 lane: 0,
                 from_chip: 0,
                 to_chip: 1,
                 tick: 500,
                 words: 16,
                 count: 2,
-            },
+            }
+            .into(),
             TraceEvent::Counter {
                 name: "explore.states_pruned",
                 delta: 9,

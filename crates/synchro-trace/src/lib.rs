@@ -46,6 +46,26 @@ pub mod report;
 /// interpreter emits one per occurrence; [`normalize`] makes the two
 /// granularities comparable.  `tick` is always a board/chip reference
 /// tick: the shared timebase every timeline track is plotted against.
+///
+/// The enum is 32 bytes: the hot per-cycle variants ([`DividerTick`],
+/// [`ZormStall`], [`ColumnFiring`], [`RateMatcherRelock`]) carry 24
+/// bytes of payload plus the tag.  The variants whose payload is wider —
+/// [`BusSlot`], [`BridgeTransfer`], [`RouteSlot`] and [`RouteReject`] —
+/// keep it behind an [`Arc`], so every recorded, cloned, scanned and
+/// dropped event moves 32 bytes instead of the 56 the widest payload
+/// would force on all of them.  An `Arc` rather than a `Box` because
+/// sinks clone what they record: cloning a shared payload bumps a count
+/// where a boxed one would allocate, and the fast tier's short streams
+/// are half bus slots.
+///
+/// [`DividerTick`]: TraceEvent::DividerTick
+/// [`ZormStall`]: TraceEvent::ZormStall
+/// [`ColumnFiring`]: TraceEvent::ColumnFiring
+/// [`RateMatcherRelock`]: TraceEvent::RateMatcherRelock
+/// [`BusSlot`]: TraceEvent::BusSlot
+/// [`BridgeTransfer`]: TraceEvent::BridgeTransfer
+/// [`RouteSlot`]: TraceEvent::RouteSlot
+/// [`RouteReject`]: TraceEvent::RouteReject
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// `count` completed firings on a column (derived from the static
@@ -94,38 +114,12 @@ pub enum TraceEvent {
         /// Period boundaries crossed.
         count: u64,
     },
-    /// `count` occurrences of one horizontal-bus TDM slot carrying
-    /// `words` words in total from column `from` to columns `to`.
-    BusSlot {
-        /// Board chip index.
-        chip: u32,
-        /// Reference tick of (the last of) the occurrences.
-        tick: u64,
-        /// Producing column.
-        from: u32,
-        /// Consuming columns.
-        to: Vec<u32>,
-        /// Words transferred, summed over the batch.
-        words: u64,
-        /// Slot occurrences batched into this event.
-        count: u64,
-    },
-    /// `count` bridge-lane transfers carrying `words` words in total
-    /// between two chips of a board.
-    BridgeTransfer {
-        /// Bridge lane index.
-        lane: u32,
-        /// Producing chip.
-        from_chip: u32,
-        /// Consuming chip.
-        to_chip: u32,
-        /// Reference tick of (the last of) the transfers.
-        tick: u64,
-        /// Words transferred, summed over the batch.
-        words: u64,
-        /// Transfers batched into this event.
-        count: u64,
-    },
+    /// Occurrences of one horizontal-bus TDM slot (see
+    /// [`BusSlotEvent`]).
+    BusSlot(Arc<BusSlotEvent>),
+    /// Bridge-lane transfers between two chips of a board (see
+    /// [`BridgeTransferEvent`]).
+    BridgeTransfer(Arc<BridgeTransferEvent>),
     /// A named compile/search phase opened (mapper, router, explorer).
     PhaseBegin {
         /// Phase name, e.g. `"mapper.compile_board"`.
@@ -136,30 +130,10 @@ pub enum TraceEvent {
         /// Phase name matching the corresponding [`TraceEvent::PhaseBegin`].
         phase: &'static str,
     },
-    /// The router placed one TDM slot: `words` words of SDF edge `edge`
-    /// on `(split, cycle)` from column `from` to column `to`.
-    RouteSlot {
-        /// Bus split carrying the slot.
-        split: u32,
-        /// First bus cycle of the slot within the frame.
-        cycle: u64,
-        /// Producing column.
-        from: u32,
-        /// Consuming column.
-        to: u32,
-        /// Words placed.
-        words: u64,
-        /// SDF edge index the words belong to.
-        edge: u64,
-    },
-    /// The router rejected a flow set, with the structured error code and
-    /// rendered context of the `RouteError`.
-    RouteReject {
-        /// Stable machine-readable variant code, e.g. `"period_overflow"`.
-        code: &'static str,
-        /// Human-readable context (the error's `Display` output).
-        detail: String,
-    },
+    /// The router placed one TDM slot (see [`RouteSlotEvent`]).
+    RouteSlot(Arc<RouteSlotEvent>),
+    /// The router rejected a flow set (see [`RouteRejectEvent`]).
+    RouteReject(Arc<RouteRejectEvent>),
     /// A named counter increment — the generic metrics-registry event
     /// (the explorer reports its prune/cache counters through this).
     Counter {
@@ -199,6 +173,91 @@ pub enum TraceEvent {
         /// Watchdog window (reference ticks) that saw zero progress.
         window: u64,
     },
+}
+
+// The size the enum's docs promise: a new variant wider than 24 bytes of
+// payload must go behind an `Arc` like `BusSlot`.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 32);
+
+/// `count` occurrences of one horizontal-bus TDM slot carrying `words`
+/// words in total from column `from` to columns `to`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BusSlotEvent {
+    /// Board chip index.
+    pub chip: u32,
+    /// Reference tick of (the last of) the occurrences.
+    pub tick: u64,
+    /// Producing column.
+    pub from: u32,
+    /// Consuming columns.
+    pub to: Vec<u32>,
+    /// Words transferred, summed over the batch.
+    pub words: u64,
+    /// Slot occurrences batched into this event.
+    pub count: u64,
+}
+
+/// `count` bridge-lane transfers carrying `words` words in total between
+/// two chips of a board.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BridgeTransferEvent {
+    /// Bridge lane index.
+    pub lane: u32,
+    /// Producing chip.
+    pub from_chip: u32,
+    /// Consuming chip.
+    pub to_chip: u32,
+    /// Reference tick of (the last of) the transfers.
+    pub tick: u64,
+    /// Words transferred, summed over the batch.
+    pub words: u64,
+    /// Transfers batched into this event.
+    pub count: u64,
+}
+
+/// One TDM slot placed by the router: `words` words of SDF edge `edge`
+/// on `(split, cycle)` from column `from` to column `to`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteSlotEvent {
+    /// Bus split carrying the slot.
+    pub split: u32,
+    /// First bus cycle of the slot within the frame.
+    pub cycle: u64,
+    /// Producing column.
+    pub from: u32,
+    /// Consuming column.
+    pub to: u32,
+    /// Words placed.
+    pub words: u64,
+    /// SDF edge index the words belong to.
+    pub edge: u64,
+}
+
+/// A flow set the router rejected, with the structured error code and
+/// rendered context of the `RouteError`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteRejectEvent {
+    /// Stable machine-readable variant code, e.g. `"period_overflow"`.
+    pub code: &'static str,
+    /// Human-readable context (the error's `Display` output).
+    pub detail: String,
+}
+
+macro_rules! shared_event {
+    ($($payload:ident => $variant:ident),* $(,)?) => {$(
+        impl From<$payload> for TraceEvent {
+            fn from(payload: $payload) -> Self {
+                TraceEvent::$variant(Arc::new(payload))
+            }
+        }
+    )*};
+}
+
+shared_event! {
+    BusSlotEvent => BusSlot,
+    BridgeTransferEvent => BridgeTransfer,
+    RouteSlotEvent => RouteSlot,
+    RouteRejectEvent => RouteReject,
 }
 
 /// Where events go.  Implementations must tolerate concurrent `record`
@@ -277,7 +336,10 @@ impl fmt::Debug for RingBufferSink {
 }
 
 impl RingBufferSink {
-    /// A sink keeping the latest `capacity` events (at least 1).
+    /// A sink keeping the latest `capacity` events (at least 1).  A full
+    /// buffer holds `capacity × 32 B` of events (the size of one
+    /// [`TraceEvent`]), plus the shared payloads of any bus, bridge
+    /// and router events among them.
     pub fn new(capacity: usize) -> Self {
         RingBufferSink {
             capacity: capacity.max(1),
@@ -452,23 +514,25 @@ impl TraceSink for MetricsSink {
             TraceEvent::RateMatcherRelock { count, .. } => {
                 self.relocks.fetch_add(*count, Ordering::Relaxed);
             }
-            TraceEvent::BusSlot { words, count, .. } => {
-                self.bus_slots.fetch_add(*count, Ordering::Relaxed);
-                self.bus_words.fetch_add(*words, Ordering::Relaxed);
+            TraceEvent::BusSlot(slot) => {
+                self.bus_slots.fetch_add(slot.count, Ordering::Relaxed);
+                self.bus_words.fetch_add(slot.words, Ordering::Relaxed);
             }
-            TraceEvent::BridgeTransfer { words, count, .. } => {
-                self.bridge_transfers.fetch_add(*count, Ordering::Relaxed);
-                self.bridge_words.fetch_add(*words, Ordering::Relaxed);
+            TraceEvent::BridgeTransfer(transfer) => {
+                self.bridge_transfers
+                    .fetch_add(transfer.count, Ordering::Relaxed);
+                self.bridge_words
+                    .fetch_add(transfer.words, Ordering::Relaxed);
             }
             TraceEvent::PhaseBegin { .. } => {
                 self.phases.fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::PhaseEnd { .. } => {}
-            TraceEvent::RouteSlot { words, .. } => {
+            TraceEvent::RouteSlot(slot) => {
                 self.route_slots.fetch_add(1, Ordering::Relaxed);
-                self.route_words.fetch_add(*words, Ordering::Relaxed);
+                self.route_words.fetch_add(slot.words, Ordering::Relaxed);
             }
-            TraceEvent::RouteReject { .. } => {
+            TraceEvent::RouteReject(_) => {
                 self.route_rejects.fetch_add(1, Ordering::Relaxed);
             }
             TraceEvent::Counter { name, delta } => {
@@ -608,44 +672,33 @@ fn key_of(event: &TraceEvent) -> NormKey {
             Vec::new(),
             String::new(),
         ),
-        TraceEvent::BusSlot { chip, from, to, .. } => (
+        TraceEvent::BusSlot(slot) => (
             4,
-            u64::from(*chip),
-            u64::from(*from),
+            u64::from(slot.chip),
+            u64::from(slot.from),
             0,
-            to.iter().map(|&c| u64::from(c)).collect(),
+            slot.to.iter().map(|&c| u64::from(c)).collect(),
             String::new(),
         ),
-        TraceEvent::BridgeTransfer {
-            lane,
-            from_chip,
-            to_chip,
-            ..
-        } => (
+        TraceEvent::BridgeTransfer(transfer) => (
             5,
-            u64::from(*lane),
-            u64::from(*from_chip),
-            u64::from(*to_chip),
+            u64::from(transfer.lane),
+            u64::from(transfer.from_chip),
+            u64::from(transfer.to_chip),
             Vec::new(),
             String::new(),
         ),
         TraceEvent::PhaseBegin { phase } => (6, 0, 0, 0, Vec::new(), (*phase).to_owned()),
         TraceEvent::PhaseEnd { phase } => (7, 0, 0, 0, Vec::new(), (*phase).to_owned()),
-        TraceEvent::RouteSlot {
-            split,
-            from,
-            to,
-            edge,
-            ..
-        } => (
+        TraceEvent::RouteSlot(slot) => (
             8,
-            u64::from(*split),
-            u64::from(*from),
-            u64::from(*to),
-            vec![*edge],
+            u64::from(slot.split),
+            u64::from(slot.from),
+            u64::from(slot.to),
+            vec![slot.edge],
             String::new(),
         ),
-        TraceEvent::RouteReject { code, .. } => (9, 0, 0, 0, Vec::new(), (*code).to_owned()),
+        TraceEvent::RouteReject(reject) => (9, 0, 0, 0, Vec::new(), reject.code.to_owned()),
         TraceEvent::Counter { name, .. } => (10, 0, 0, 0, Vec::new(), (*name).to_owned()),
         TraceEvent::FaultColumnKilled { chip, column, .. } => (
             11,
@@ -680,11 +733,11 @@ fn payload_of(event: &TraceEvent) -> (u64, u64) {
         | TraceEvent::DividerTick { count, .. }
         | TraceEvent::RateMatcherRelock { count, .. } => (*count, 0),
         TraceEvent::ZormStall { cycles, .. } => (*cycles, 0),
-        TraceEvent::BusSlot { words, count, .. }
-        | TraceEvent::BridgeTransfer { words, count, .. } => (*count, *words),
+        TraceEvent::BusSlot(slot) => (slot.count, slot.words),
+        TraceEvent::BridgeTransfer(transfer) => (transfer.count, transfer.words),
         TraceEvent::PhaseBegin { .. } | TraceEvent::PhaseEnd { .. } => (1, 0),
-        TraceEvent::RouteSlot { words, .. } => (1, *words),
-        TraceEvent::RouteReject { .. } => (1, 0),
+        TraceEvent::RouteSlot(slot) => (1, slot.words),
+        TraceEvent::RouteReject(_) => (1, 0),
         TraceEvent::Counter { delta, .. } => (*delta, 0),
         TraceEvent::FaultColumnKilled { .. }
         | TraceEvent::FaultLaneKilled { .. }
@@ -739,44 +792,29 @@ pub fn normalize(events: &[TraceEvent]) -> Vec<TraceEvent> {
                 tick: 0,
                 count,
             },
-            TraceEvent::BusSlot { chip, from, to, .. } => TraceEvent::BusSlot {
-                chip,
-                tick: 0,
-                from,
-                to,
-                words,
-                count,
-            },
-            TraceEvent::BridgeTransfer {
-                lane,
-                from_chip,
-                to_chip,
-                ..
-            } => TraceEvent::BridgeTransfer {
-                lane,
-                from_chip,
-                to_chip,
+            TraceEvent::BusSlot(slot) => BusSlotEvent {
                 tick: 0,
                 words,
                 count,
-            },
+                ..Arc::unwrap_or_clone(slot)
+            }
+            .into(),
+            TraceEvent::BridgeTransfer(transfer) => BridgeTransferEvent {
+                tick: 0,
+                words,
+                count,
+                ..Arc::unwrap_or_clone(transfer)
+            }
+            .into(),
             TraceEvent::PhaseBegin { phase } => TraceEvent::PhaseBegin { phase },
             TraceEvent::PhaseEnd { phase } => TraceEvent::PhaseEnd { phase },
-            TraceEvent::RouteSlot {
-                split,
-                from,
-                to,
-                edge,
-                ..
-            } => TraceEvent::RouteSlot {
-                split,
+            TraceEvent::RouteSlot(slot) => RouteSlotEvent {
                 cycle: 0,
-                from,
-                to,
                 words,
-                edge,
-            },
-            TraceEvent::RouteReject { code, detail } => TraceEvent::RouteReject { code, detail },
+                ..Arc::unwrap_or_clone(slot)
+            }
+            .into(),
+            reject @ TraceEvent::RouteReject(_) => reject,
             TraceEvent::Counter { name, .. } => TraceEvent::Counter { name, delta: count },
             TraceEvent::FaultColumnKilled { chip, column, .. } => TraceEvent::FaultColumnKilled {
                 chip,
@@ -840,15 +878,20 @@ pub fn iso8601_utc_now() -> String {
 mod tests {
     use super::*;
 
-    fn tickless_bus(chip: u32, from: u32, words: u64, count: u64) -> TraceEvent {
-        TraceEvent::BusSlot {
+    fn bus(chip: u32, tick: u64, from: u32, words: u64, count: u64) -> TraceEvent {
+        BusSlotEvent {
             chip,
-            tick: 0,
+            tick,
             from,
             to: vec![from + 1],
             words,
             count,
         }
+        .into()
+    }
+
+    fn tickless_bus(chip: u32, from: u32, words: u64, count: u64) -> TraceEvent {
+        bus(chip, 0, from, words, count)
     }
 
     #[test]
@@ -971,28 +1014,14 @@ mod tests {
                 tick: 0,
                 count: 1,
             },
-            TraceEvent::BusSlot {
-                chip: 0,
-                tick: 3,
-                from: 0,
-                to: vec![1],
-                words: 2,
-                count: 1,
-            },
+            bus(0, 3, 0, 2, 1),
             TraceEvent::DividerTick {
                 chip: 0,
                 column: 0,
                 tick: 2,
                 count: 1,
             },
-            TraceEvent::BusSlot {
-                chip: 0,
-                tick: 14,
-                from: 0,
-                to: vec![1],
-                words: 2,
-                count: 1,
-            },
+            bus(0, 14, 0, 2, 1),
         ];
         // Fast-tier granularity: one batch per track.
         let batched = vec![

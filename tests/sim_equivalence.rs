@@ -450,6 +450,8 @@ proptest! {
 /// fire) — and require bit-identical `FaultedRun`s and chip statistics.
 /// The structured outcome must also match the machine state: `fault:
 /// None` ⇔ every column halted, `Some(Stalled)` ⇔ a survivor starved.
+/// The event-driven and ticked drivers must also emit the same raw trace,
+/// event for event and in order, across the kill and the watchdog cut.
 /// That the proptest returns at all is the watchdog's termination
 /// guarantee — a wedged chip must classify, never spin.
 fn check_faulted_tiers(
@@ -458,19 +460,27 @@ fn check_faulted_tiers(
     options: &MapperOptions,
     plan: &synchroscalar::sim::FaultPlan,
 ) -> Result<(), TestCaseError> {
-    let compile_on = |tier| {
+    let compile_on = |tier, trace| {
         mapper::compile(
             graph,
             mapping,
             &MapperOptions {
                 tier,
+                trace,
                 ..options.clone()
             },
         )
     };
-    let interpreted = compile_on(ExecutionTier::Interpreted);
-    let fast = compile_on(ExecutionTier::Fast);
-    let ticked = compile_on(ExecutionTier::Interpreted);
+    // The event-driven and ticked drivers are traced: their raw streams
+    // (not just normalized ones) must agree event for event.
+    let interpreted_ring = Arc::new(RingBufferSink::new(1 << 20));
+    let ticked_ring = Arc::new(RingBufferSink::new(1 << 20));
+    let interpreted = compile_on(
+        ExecutionTier::Interpreted,
+        Trace::to(interpreted_ring.clone()),
+    );
+    let fast = compile_on(ExecutionTier::Fast, Trace::off());
+    let ticked = compile_on(ExecutionTier::Interpreted, Trace::to(ticked_ring.clone()));
     let (mut interpreted, mut fast, mut ticked) = match (interpreted, fast, ticked) {
         (Ok(i), Ok(f), Ok(t)) => (i, f, t),
         (i, f, _) => {
@@ -515,6 +525,19 @@ fn check_faulted_tiers(
         prop_assert_eq!(
             interpreted.chip().horizontal_stats(),
             fast.chip().horizontal_stats()
+        );
+    }
+    prop_assert_eq!(interpreted_ring.dropped(), 0);
+    let events = interpreted_ring.events();
+    prop_assert!(!events.is_empty(), "the traced run emitted nothing");
+    let ticked_events = ticked_ring.events();
+    prop_assert_eq!(events.len(), ticked_events.len());
+    for (i, (a, b)) in events.iter().zip(&ticked_events).enumerate() {
+        prop_assert_eq!(
+            a,
+            b,
+            "event-driven vs ticked raw streams differ at event {}",
+            i
         );
     }
     Ok(())
