@@ -18,7 +18,7 @@
 //!    column cycles — firing rates match the repetition vector *exactly*
 //!    (with a [`RateMatcher`] fallback when the exact divider would exceed
 //!    the hardware range),
-//! 4. emit a per-firing SIMD [`Program`](synchro_isa::Program) and a
+//! 4. emit a per-firing SIMD [`Program`] and a
 //!    [`DouProgram`] that distributes each produced token across the
 //!    column's tiles at a statically scheduled bus cycle,
 //! 5. compile the inter-column traffic into a conflict-free periodic TDM
@@ -576,21 +576,6 @@ impl ReportEnergy {
     }
 }
 
-/// [`ColumnPricing`] rows for `plans`, one per placed column.
-fn column_pricing_rows(plans: &[ColumnPlan]) -> Vec<ColumnPricing> {
-    plans
-        .iter()
-        .map(|p| ColumnPricing {
-            chip: p.chip as u32,
-            column: p.column as u32,
-            label: p.name.clone(),
-            tiles: p.tiles,
-            voltage: p.voltage,
-            clock_divider: p.clock_divider,
-        })
-        .collect()
-}
-
 /// The supply voltage interconnect transfers switch at: the maximum
 /// column voltage of the chip (the calibration convention the
 /// route-schedule power summary uses).
@@ -598,42 +583,83 @@ fn bus_voltage(plans: &[ColumnPlan]) -> f64 {
     plans.iter().map(|p| p.voltage).fold(0.0, f64::max)
 }
 
-/// Column energy over one run per the report counters: every billed
+/// One chip's energy over one run per the report counters: every billed
 /// cycle (stalls included — a stalled column still clocks) at the
-/// column's operating point, plus leakage over the run.
-fn column_report_energy(
+/// column's operating point, leakage over the run, and every occupied
+/// horizontal-bus slot.
+fn chip_report_energy(
     plans: &[ColumnPlan],
-    stats: &[ColumnStats],
+    report: &ExecutionReport,
     tech: &Technology,
     duration_s: f64,
-) -> (f64, f64) {
+) -> ReportEnergy {
     let tile_power = TilePowerModel::new(tech);
     let leakage = LeakageModel::new(tech);
     let mut compute_j = 0.0;
     let mut leakage_j = 0.0;
-    for (plan, stats) in plans.iter().zip(stats) {
+    for (plan, stats) in plans.iter().zip(&report.column_stats) {
         compute_j += tile_power.energy_per_cycle_nj(plan.voltage)
             * 1e-9
             * f64::from(plan.tiles)
             * stats.cycles as f64;
         leakage_j += leakage.power_mw(plan.tiles, plan.voltage) * 1e-3 * duration_s;
     }
-    (compute_j, leakage_j)
+    let word_j = InterconnectModel::new(tech)
+        .word_energy_j(&BusGeometry::horizontal(tech), bus_voltage(plans));
+    ReportEnergy {
+        compute_j,
+        leakage_j,
+        interconnect_j: word_j * report.occupied_bus_slots as f64,
+        duration_s,
+    }
 }
 
-/// A compiled, runnable chip plus everything needed to interpret it.
+/// Per-track utilization rows of one chip's run: one row per column
+/// (useful cycles over executed cycles, branch and ZORM stalls excluded
+/// from busy) plus the horizontal bus (occupied over scheduled TDM
+/// slots), each label starting with `prefix`.
+fn chip_tracks(
+    plans: &[ColumnPlan],
+    report: &ExecutionReport,
+    prefix: &str,
+) -> Vec<TrackUtilization> {
+    let mut tracks: Vec<TrackUtilization> = report
+        .column_stats
+        .iter()
+        .enumerate()
+        .map(|(i, stats)| {
+            let name = plans.get(i).map_or("?", |p| p.name.as_str());
+            let divider = plans.get(i).map_or(1, |p| p.clock_divider);
+            TrackUtilization {
+                label: format!("{prefix}col{i} {name} (\u{f7}{divider})"),
+                busy: stats.cycles - stats.branch_stalls - stats.rate_match_stalls,
+                total: stats.cycles,
+                unit: "cycles",
+                detail: format!(
+                    "{} firings, {} stall cycles",
+                    report.firing_counts.get(i).copied().unwrap_or(0),
+                    stats.branch_stalls + stats.rate_match_stalls,
+                ),
+            }
+        })
+        .collect();
+    tracks.push(TrackUtilization {
+        label: format!("{prefix}horizontal bus"),
+        busy: report.occupied_bus_slots,
+        total: report.scheduled_bus_slots,
+        unit: "slots",
+        detail: format!("{} words", report.simulated_horizontal_words),
+    });
+    tracks
+}
+
+/// A compiled, runnable chip: the one-chip view of a [`CompiledBoard`].
+/// [`compile`] builds a board of one, and every method here reads or
+/// drives that board, so a chip and a board run through one execution
+/// driver.
 #[derive(Debug)]
 pub struct CompiledChip {
-    chip: Chip,
-    plans: Vec<ColumnPlan>,
-    blueprints: Vec<ColumnBlueprint>,
-    cross_edges: Vec<CrossEdge>,
-    route: RouteSchedule,
-    hyperperiod: u64,
-    iterations: u64,
-    iteration_rate_hz: f64,
-    drain_budget: u64,
-    tier: ExecutionTier,
+    board: CompiledBoard,
 }
 
 /// The pieces one column was built from, kept so the fast tier can
@@ -645,8 +671,8 @@ struct ColumnBlueprint {
     dou: Option<DouProgram>,
 }
 
-/// Lifetime counters of a chip at one instant; [`CompiledChip::execute`]
-/// reports the difference of two of these.
+/// Lifetime counters of one chip at one instant; a run reports the
+/// difference of two of these.
 struct StatsSnapshot {
     ticks: u64,
     words: u64,
@@ -759,8 +785,8 @@ pub struct FaultedBoardRun {
 /// Monotone work counters of one chip, deliberately excluding the
 /// reference clock (which advances even on a fully starved chip): the
 /// starvation watchdog declares a stall when one full hyperperiod window
-/// passes with this signature unchanged while columns are still live.
-/// Any live, non-failed column fires at least once per window (its
+/// passes with the board's signature unchanged while columns are still
+/// live.  Any live, non-failed column fires at least once per window (its
 /// divider is at most the hyperperiod) and bills cycles when it does —
 /// ZORM stall slots included — so a live machine can never trip it; a
 /// still-playing bus program advances its scheduled-slot counters and
@@ -770,18 +796,6 @@ type ChipProgress = (Vec<ColumnStats>, Vec<BusStats>, Option<BusStats>, usize);
 /// Per-chip signatures plus the bridge counters — the board-wide
 /// watchdog signature.
 type BoardProgress = (Vec<ChipProgress>, BusStats, Vec<u64>);
-
-fn chip_progress(chip: &Chip) -> ChipProgress {
-    let halted = (0..chip.columns())
-        .filter(|&i| chip.column(i).is_some_and(Column::is_halted))
-        .count();
-    (
-        chip.column_stats(),
-        chip.column_bus_stats(),
-        chip.horizontal_stats(),
-        halted,
-    )
-}
 
 /// Build the closed-form batch tier for one chip's compiled columns.
 fn build_fast_tier(
@@ -814,13 +828,21 @@ fn build_fast_tier(
 }
 
 fn board_progress(board: &Board) -> BoardProgress {
-    (
-        (0..board.chips())
-            .map(|c| chip_progress(board.chip(c).expect("index in range")))
-            .collect(),
-        board.bridge_stats(),
-        board.lane_words().to_vec(),
-    )
+    let chips = (0..board.chips())
+        .map(|c| {
+            let chip = board.chip(c).expect("index in range");
+            let halted = (0..chip.columns())
+                .filter(|&i| chip.column(i).is_some_and(Column::is_halted))
+                .count();
+            (
+                chip.column_stats(),
+                chip.column_bus_stats(),
+                chip.horizontal_stats(),
+                halted,
+            )
+        })
+        .collect();
+    (chips, board.bridge_stats(), board.lane_words().to_vec())
 }
 
 fn measured_firings_of(chip: &Chip, plans: &[ColumnPlan]) -> Vec<u64> {
@@ -831,87 +853,6 @@ fn measured_firings_of(chip: &Chip, plans: &[ColumnPlan]) -> Vec<u64> {
             broadcasts / p.sim_cycles_per_firing
         })
         .collect()
-}
-
-fn snapshot_of(chip: &Chip, plans: &[ColumnPlan]) -> StatsSnapshot {
-    StatsSnapshot {
-        ticks: chip.stats().reference_cycles,
-        words: chip.stats().horizontal_transfers,
-        firings: measured_firings_of(chip, plans),
-        columns: chip.column_stats(),
-        column_bus: chip.column_bus_stats(),
-        bus: chip.horizontal_stats().unwrap_or_default(),
-    }
-}
-
-fn report_of(
-    chip: &Chip,
-    plans: &[ColumnPlan],
-    cross_edges: &[CrossEdge],
-    hyperperiod: u64,
-    iterations: u64,
-    start: &StatsSnapshot,
-) -> ExecutionReport {
-    let firings = measured_firings_of(chip, plans);
-    let firing_counts: Vec<u64> = firings
-        .iter()
-        .zip(&start.firings)
-        .map(|(now, before)| now - before)
-        .collect();
-    let expected: Vec<u64> = plans
-        .iter()
-        .map(|p| p.firings_per_iteration * iterations)
-        .collect();
-    let predicted_words = cross_edges
-        .iter()
-        .map(|e| e.words_per_iteration * iterations)
-        .sum();
-    let column_stats: Vec<ColumnStats> = chip
-        .column_stats()
-        .iter()
-        .zip(&start.columns)
-        .map(|(now, before)| now.delta(before))
-        .collect();
-    let column_bus: Vec<BusStats> = chip
-        .column_bus_stats()
-        .iter()
-        .zip(&start.column_bus)
-        .map(|(now, before)| now.delta(before))
-        .collect();
-    let bus = chip.horizontal_stats().unwrap_or_default();
-    // Firing totals are derived from the broadcast counters at report
-    // time on both tiers (the interpreter has no per-firing hook), so
-    // interpreted and fast runs emit the identical batched event.
-    let trace = chip.trace();
-    if trace.enabled() {
-        let chip_id = chip.chip_id();
-        let tick = chip.stats().reference_cycles;
-        for (column, &count) in firing_counts.iter().enumerate() {
-            if count > 0 {
-                trace.emit(|| TraceEvent::ColumnFiring {
-                    chip: chip_id,
-                    column: column as u32,
-                    tick,
-                    count,
-                });
-            }
-        }
-    }
-    ExecutionReport {
-        iterations,
-        reference_ticks: chip.stats().reference_cycles - start.ticks,
-        hyperperiod,
-        firing_counts,
-        expected_firings: expected,
-        simulated_horizontal_words: chip.stats().horizontal_transfers - start.words,
-        predicted_horizontal_words: predicted_words,
-        column_cycles: column_stats.iter().map(|s| s.cycles).collect(),
-        intra_column_words: column_stats.iter().map(|s| s.bus_word_transfers).collect(),
-        scheduled_bus_slots: bus.scheduled_slots - start.bus.scheduled_slots,
-        occupied_bus_slots: bus.occupied_slots - start.bus.occupied_slots,
-        column_stats,
-        column_bus,
-    }
 }
 
 fn checked_lcm(a: u64, b: u64) -> Option<u64> {
@@ -937,9 +878,9 @@ fn relative_error(measured: f64, predicted: f64) -> f64 {
 /// spanned-column count recorded in its [`ColumnPlan`]).
 ///
 /// This is a thin wrapper over [`compile_board`]: the mapping compiles as
-/// a board of one chip and the single chip is unwrapped, so the legacy
-/// path and the board path share one implementation (the equivalence is
-/// pinned bit for bit by the board property tests).
+/// a board of one chip and [`CompiledChip`] is a view of it, so the chip
+/// and the board share one compiler and one execution driver (the
+/// equivalence is pinned bit for bit by the board property tests).
 ///
 /// # Errors
 ///
@@ -958,7 +899,7 @@ pub fn compile(
         });
     }
     compile_board(graph, mapping, options, &BoardConfig::default())
-        .map(CompiledBoard::into_single_chip)
+        .map(|board| CompiledChip { board })
 }
 
 /// Compile a chip-qualified [`SdfGraph`] + [`Mapping`] into a runnable
@@ -1373,65 +1314,54 @@ pub fn compile_board(
 impl CompiledChip {
     /// The underlying simulated chip.
     pub fn chip(&self) -> &Chip {
-        &self.chip
+        self.board.sim_chip(0)
     }
 
     /// Mutable access to the simulated chip (e.g. to stage tile data).
     pub fn chip_mut(&mut self) -> &mut Chip {
-        &mut self.chip
+        self.board.sim_chip_mut(0)
     }
 
     /// Per-column plans in placement order.
     pub fn plans(&self) -> &[ColumnPlan] {
-        &self.plans
+        self.board.chip_plans(0)
     }
 
     /// Edges whose endpoints live on different columns.
     pub fn cross_edges(&self) -> &[CrossEdge] {
-        &self.cross_edges
+        self.board.chip_cross_edges(0)
     }
 
     /// The compiled TDM communication schedule the chip's horizontal bus
     /// is driven from (empty for single-column graphs).
     pub fn route(&self) -> &RouteSchedule {
-        &self.route
+        &self.board.route.chips()[0]
     }
 
     /// Reference ticks per graph iteration.
     pub fn hyperperiod(&self) -> u64 {
-        self.hyperperiod
+        self.board.hyperperiod
     }
 
     /// Graph iterations the compiled programs execute.
     pub fn iterations(&self) -> u64 {
-        self.iterations
+        self.board.iterations
     }
 
     /// Graph-iteration rate the chip was compiled for.
     pub fn iteration_rate_hz(&self) -> f64 {
-        self.iteration_rate_hz
+        self.board.iteration_rate_hz
     }
 
     /// The pricing context [`synchro_trace::analyze::attribute`] bills a
     /// captured event stream of this chip against: per-column operating
     /// points from the compiled plans plus the shared power models under
-    /// `tech`.
+    /// `tech`.  A single chip has no bridge lane, so no bridge energy is
+    /// rated.
     pub fn price_spec(&self, tech: &Technology) -> PriceSpec {
         PriceSpec {
-            iteration_rate_hz: self.iteration_rate_hz,
-            hyperperiod: self.hyperperiod,
-            tile_power: TilePowerModel::new(tech),
-            leakage: LeakageModel::new(tech),
-            interconnect: InterconnectModel::new(tech),
-            columns: column_pricing_rows(&self.plans),
-            buses: vec![BusPricing {
-                chip: 0,
-                geometry: BusGeometry::horizontal(tech),
-                voltage: bus_voltage(&self.plans),
-                scheduled_slots_per_iteration: self.route.scheduled_slots(),
-            }],
             bridge_energy_pj_per_word: 0.0,
-            bridge_scheduled_slots_per_iteration: 0,
+            ..self.board.price_spec(tech)
         }
     }
 
@@ -1439,27 +1369,14 @@ impl CompiledChip {
     /// the independent cross-check for the event-priced ledger (see
     /// [`ReportEnergy`]).
     pub fn execution_energy(&self, report: &ExecutionReport, tech: &Technology) -> ReportEnergy {
-        let duration_s = if self.hyperperiod == 0 || self.iteration_rate_hz <= 0.0 {
-            0.0
-        } else {
-            report.reference_ticks as f64 / (self.hyperperiod as f64 * self.iteration_rate_hz)
-        };
-        let (compute_j, leakage_j) =
-            column_report_energy(&self.plans, &report.column_stats, tech, duration_s);
-        let word_j = InterconnectModel::new(tech)
-            .word_energy_j(&BusGeometry::horizontal(tech), bus_voltage(&self.plans));
-        ReportEnergy {
-            compute_j,
-            leakage_j,
-            interconnect_j: word_j * report.occupied_bus_slots as f64,
-            duration_s,
-        }
+        let duration_s = self.board.run_seconds(report.reference_ticks);
+        chip_report_energy(self.plans(), report, tech, duration_s)
     }
 
     /// Measured firings per column so far, derived from the broadcast
     /// counters (every issue slot of a firing is a broadcast).
     pub fn measured_firings(&self) -> Vec<u64> {
-        measured_firings_of(&self.chip, &self.plans)
+        measured_firings_of(self.chip(), self.plans())
     }
 
     /// Per-track utilization rows of one run's [`ExecutionReport`] — the
@@ -1468,43 +1385,14 @@ impl CompiledChip {
     /// excluded from busy) plus the horizontal bus (occupied over
     /// scheduled TDM slots).
     pub fn utilization(&self, report: &ExecutionReport) -> Vec<TrackUtilization> {
-        let mut tracks: Vec<TrackUtilization> = report
-            .column_stats
-            .iter()
-            .enumerate()
-            .map(|(i, stats)| {
-                let name = self.plans.get(i).map_or("?", |p| p.name.as_str());
-                let divider = self.plans.get(i).map_or(1, |p| p.clock_divider);
-                TrackUtilization {
-                    label: format!("col{i} {name} (\u{f7}{divider})"),
-                    busy: stats.cycles - stats.branch_stalls - stats.rate_match_stalls,
-                    total: stats.cycles,
-                    unit: "cycles",
-                    detail: format!(
-                        "{} firings, {} stall cycles",
-                        report.firing_counts.get(i).copied().unwrap_or(0),
-                        stats.branch_stalls + stats.rate_match_stalls,
-                    ),
-                }
-            })
-            .collect();
-        tracks.push(TrackUtilization {
-            label: "horizontal bus".to_owned(),
-            busy: report.occupied_bus_slots,
-            total: report.scheduled_bus_slots,
-            unit: "slots",
-            detail: format!("{} words", report.simulated_horizontal_words),
-        });
-        tracks
+        chip_tracks(self.plans(), report, "")
     }
 
-    /// Run the chip to completion.  Horizontal-bus traffic is driven
-    /// cycle-by-cycle from the compiled TDM route schedule (loaded into
-    /// the chip as a [`BusProgram`]) as the reference clock passes each
-    /// slot's time — the statically scheduled communication the paper
-    /// describes, rather than after-the-fact aggregate billing.  For a
-    /// contention-free schedule the per-run word totals are identical to
-    /// the old firing-count accounting, bit for bit.
+    /// Run the chip to completion: [`CompiledBoard::execute`] on the
+    /// board of one.  Horizontal-bus traffic is driven cycle by cycle
+    /// from the compiled TDM route schedule (loaded into the chip as a
+    /// [`BusProgram`]) as the reference clock passes each slot's time —
+    /// the statically scheduled communication the paper describes.
     ///
     /// Every quantity in the returned [`ExecutionReport`] covers *this
     /// call only*: counters are snapshotted on entry and reported as
@@ -1515,303 +1403,50 @@ impl CompiledChip {
     ///
     /// # Errors
     ///
-    /// Propagates simulation faults and reports [`MapperError::Incomplete`]
-    /// if the chip fails to halt within its drain budget.  On error the
-    /// chip state is unspecified (the interpreted tier leaves it partially
-    /// run, the fast tier untouched) — the returned error value itself is
-    /// tier-independent.
+    /// As for [`CompiledBoard::execute`].
     pub fn execute(&mut self) -> Result<ExecutionReport, MapperError> {
-        match self.tier {
-            ExecutionTier::Interpreted => self.execute_interpreted(),
-            ExecutionTier::Fast => self.execute_fast(),
-        }
-    }
-
-    /// [`CompiledChip::execute`] on the interpreted tier, regardless of
-    /// the compiled [`ExecutionTier`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledChip::execute`].
-    pub fn execute_interpreted(&mut self) -> Result<ExecutionReport, MapperError> {
-        let start = self.snapshot();
-
-        for _ in 0..self.iterations {
-            if self.chip.all_halted() {
-                break;
-            }
-            self.chip.run(self.hyperperiod)?;
-        }
-        // Drain: the halt-observing tick of every column (and, for
-        // ZORM-throttled columns, the stall surplus) lies past the last
-        // iteration window.  The watchdog turns a drain that makes no
-        // progress across a full window into a structured stall instead
-        // of spinning the budget down on a wedged chip.
-        let window = self.hyperperiod.max(1);
-        let mut spent = self.chip.stats().reference_cycles - start.ticks;
-        while !self.chip.all_halted() && spent < self.drain_budget {
-            let before = chip_progress(&self.chip);
-            self.chip.run(window)?;
-            spent = self.chip.stats().reference_cycles - start.ticks;
-            if !self.chip.all_halted() && chip_progress(&self.chip) == before {
-                let tick = self.chip.stats().reference_cycles;
-                self.chip
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                return Err(MapperError::SimFault(SimFault::Stalled {
-                    reference_cycles: spent,
-                    window,
-                }));
-            }
-        }
-        if !self.chip.all_halted() {
-            // Budget exhausted with live columns: one diagnostic window
-            // separates a wedged chip (zero progress — structured stall)
-            // from a merely slow one (Incomplete).  The error value stays
-            // tier-independent; the chip state on error is unspecified.
-            let before = chip_progress(&self.chip);
-            self.chip.run(window)?;
-            if chip_progress(&self.chip) == before {
-                let tick = self.chip.stats().reference_cycles;
-                self.chip
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                return Err(MapperError::SimFault(SimFault::Stalled {
-                    reference_cycles: tick - start.ticks,
-                    window,
-                }));
-            }
-            return Err(MapperError::Incomplete { ticks: spent });
-        }
-        // The columns can halt before the reference clock crosses the last
-        // slots of the final frame; the DOUs still play their schedule
-        // out, so drive the bus program to completion.
-        self.chip.finish_bus_program()?;
-        Ok(self.report_since(&start))
-    }
-
-    /// [`CompiledChip::execute`] on the fast tier, regardless of the
-    /// compiled [`ExecutionTier`]: profile one firing per column through
-    /// the interpreter, check the run would fit the interpreted tier's
-    /// tick budget, then apply every remaining firing as a closed-form
-    /// counter update and drain the bus program in bulk.  The produced
-    /// report — and the chip's externally visible statistics — are
-    /// bit-identical to [`CompiledChip::execute_interpreted`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledChip::execute`], plus [`MapperError::FastTier`]
-    /// when the compiled programs cannot be batched (e.g. the chip was
-    /// stepped by hand through [`CompiledChip::chip_mut`] first).  The
-    /// budget check reproduces [`MapperError::Incomplete`] *without*
-    /// mutating the chip.
-    pub fn execute_fast(&mut self) -> Result<ExecutionReport, MapperError> {
-        if self.chip.any_failed() {
-            // A failed column has no closed form — it executes nothing,
-            // forever — so delegate to the interpreted driver, whose
-            // watchdog classifies the wedge as a structured stall.
-            return self.execute_interpreted();
-        }
-        let start = self.snapshot();
-
-        if !self.chip.all_halted() {
-            let tier = build_fast_tier(&self.plans, &self.blueprints, self.iterations)?;
-            // The interpreted tier gives up after `iterations` hyperperiod
-            // windows plus drain windows up to its budget; reproduce the
-            // same Incomplete verdict from the predicted halt tick, before
-            // touching the chip.
-            let window = self.hyperperiod.max(1);
-            let budget_windows = self.iterations.max(self.drain_budget.div_ceil(window));
-            let budget_ticks = budget_windows.saturating_mul(window);
-            if let Some(halt_tick) = tier.completion_tick(&self.chip)? {
-                if halt_tick >= budget_ticks {
-                    return Err(MapperError::Incomplete {
-                        ticks: budget_ticks,
-                    });
-                }
-            }
-            tier.run(&mut self.chip)?;
-        } else {
-            // An already-halted chip: the interpreted tier would observe
-            // the halt immediately and still play the bus schedule out.
-            self.chip.finish_bus_program_batched()?;
-        }
-        Ok(self.report_since(&start))
+        self.board.execute().map(only_chip)
     }
 
     /// Run the chip to completion under a deterministic [`FaultPlan`]:
-    /// each scheduled event fires iff the chip has not fully halted when
-    /// its reference tick is reached (a chip that drains first never sees
-    /// the fault), killing the targeted column mid-run.  A killed column
-    /// executes nothing and bills nothing from its event tick on but
-    /// never reports halted — the paper's static schedules have no
-    /// recovery path — so the run ends either at halt (`fault: None`) or
-    /// when the starvation watchdog observes a full hyperperiod window
-    /// with zero progress (`fault: Some(SimFault::Stalled)`), never by
-    /// wedging.  Bridge-lane events are no-ops on a single chip.
-    ///
-    /// An empty plan delegates to [`CompiledChip::execute`] exactly.  On
-    /// the fast tier, a run whose predicted halt precedes every scheduled
-    /// event keeps the closed-form batch path (no event would ever fire);
-    /// otherwise the run falls back to the interpreted driver, whose
-    /// statistics are bit-identical anyway.
+    /// [`CompiledBoard::execute_faulted`] on the board of one.  A killed
+    /// column executes nothing and bills nothing from its event tick on
+    /// but never reports halted, so the run ends either at halt
+    /// (`fault: None`) or in a watchdog stall.  Bridge-lane events are
+    /// no-ops: a single chip has no lanes.
     ///
     /// # Errors
     ///
-    /// As for [`CompiledChip::execute`]; a watchdog stall is *not* an
-    /// error here — it is the structured [`FaultedRun::fault`] outcome.
+    /// As for [`CompiledBoard::execute_faulted`].
     pub fn execute_faulted(&mut self, plan: &FaultPlan) -> Result<FaultedRun, MapperError> {
-        if plan.is_empty() {
-            let report = self.execute()?;
-            return Ok(FaultedRun {
-                report,
-                fault: None,
-            });
-        }
-        match self.tier {
-            ExecutionTier::Interpreted => self.run_faulted(plan, false),
-            ExecutionTier::Fast => self.execute_faulted_fast(plan),
-        }
-    }
-
-    /// [`CompiledChip::execute_faulted`] on the interpreted event-driven
-    /// tier, regardless of the compiled [`ExecutionTier`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledChip::execute_faulted`].
-    pub fn execute_faulted_interpreted(
-        &mut self,
-        plan: &FaultPlan,
-    ) -> Result<FaultedRun, MapperError> {
-        if plan.is_empty() {
-            let report = self.execute_interpreted()?;
-            return Ok(FaultedRun {
-                report,
-                fault: None,
-            });
-        }
-        self.run_faulted(plan, false)
+        self.board.execute_faulted(plan).map(chip_run)
     }
 
     /// [`CompiledChip::execute_faulted`] on the naive tick-by-tick
-    /// driver ([`Chip::run_ticked`]) — the differential-testing
-    /// reference.  Windows are cut at exactly the same reference ticks as
-    /// the event-driven driver's, so the two produce bit-identical
-    /// statistics and outcomes.
+    /// driver — the differential-testing reference (see
+    /// [`CompiledBoard::execute_faulted_ticked`]).
     ///
     /// # Errors
     ///
     /// As for [`CompiledChip::execute_faulted`].
     pub fn execute_faulted_ticked(&mut self, plan: &FaultPlan) -> Result<FaultedRun, MapperError> {
-        self.run_faulted(plan, true)
+        self.board.execute_faulted_ticked(plan).map(chip_run)
     }
+}
 
-    fn execute_faulted_fast(&mut self, plan: &FaultPlan) -> Result<FaultedRun, MapperError> {
-        if self.chip.all_halted() {
-            let report = self.execute_fast()?;
-            return Ok(FaultedRun {
-                report,
-                fault: None,
-            });
-        }
-        // Predict the un-faulted halt tick: when it strictly precedes the
-        // first scheduled event, the chip halts before any fault could
-        // fire and the closed-form batch run is exact.  (At equality the
-        // event fires first — the halt-observing tick has not executed
-        // yet — so only a strict inequality keeps the fast path.)
-        let tier = build_fast_tier(&self.plans, &self.blueprints, self.iterations)?;
-        let halt_tick = tier.completion_tick(&self.chip)?;
-        let first = plan.first_tick().expect("plan checked non-empty");
-        if halt_tick.is_some_and(|t| t < first) {
-            let report = self.execute_fast()?;
-            return Ok(FaultedRun {
-                report,
-                fault: None,
-            });
-        }
-        // A fault fires mid-run: closed-form batching has no mid-run
-        // point to inject at, so fall back to the interpreted driver
-        // (statistics stay bit-identical across tiers).
-        self.run_faulted(plan, false)
-    }
+/// The report of chip 0 — the only chip of a [`CompiledChip`]'s board.
+fn only_chip(report: BoardExecutionReport) -> ExecutionReport {
+    report
+        .chips
+        .into_iter()
+        .next()
+        .expect("a board of one reports one chip")
+}
 
-    /// The shared faulted driver: run in windows, firing due events at
-    /// their exact reference ticks, with the starvation watchdog armed on
-    /// every full window.
-    fn run_faulted(&mut self, plan: &FaultPlan, ticked: bool) -> Result<FaultedRun, MapperError> {
-        let start = self.snapshot();
-        let origin = self.chip.stats().reference_cycles;
-        let window = self.hyperperiod.max(1);
-        let budget = self
-            .iterations
-            .saturating_mul(window)
-            .saturating_add(self.drain_budget);
-        let events = plan.events();
-        let mut next = 0usize;
-        let fault = loop {
-            if self.chip.all_halted() {
-                break None;
-            }
-            let now = self.chip.stats().reference_cycles - origin;
-            while next < events.len() && events[next].at_tick <= now {
-                if let FaultTarget::Column { chip, column } = events[next].target {
-                    if chip == 0 {
-                        self.chip.fail_column(column, origin + events[next].at_tick);
-                    }
-                }
-                // Bridge lanes do not exist on a single chip.
-                next += 1;
-            }
-            if now >= budget {
-                return Err(MapperError::Incomplete { ticks: now });
-            }
-            // Cut the window at the next unfired event so it fires at its
-            // exact tick; watchdog checks only cover full windows.
-            let mut target = now.saturating_add(window);
-            if next < events.len() {
-                target = target.min(events[next].at_tick);
-            }
-            let full_window = target - now == window;
-            let before = chip_progress(&self.chip);
-            if ticked {
-                self.chip.run_ticked(target - now)?;
-            } else {
-                self.chip.run(target - now)?;
-            }
-            if full_window && !self.chip.all_halted() && chip_progress(&self.chip) == before {
-                let tick = self.chip.stats().reference_cycles;
-                self.chip
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                break Some(SimFault::Stalled {
-                    reference_cycles: tick - origin,
-                    window,
-                });
-            }
-        };
-        if fault.is_none() {
-            self.chip.finish_bus_program()?;
-        }
-        Ok(FaultedRun {
-            report: self.report_since(&start),
-            fault,
-        })
-    }
-
-    fn snapshot(&self) -> StatsSnapshot {
-        snapshot_of(&self.chip, &self.plans)
-    }
-
-    fn report_since(&self, start: &StatsSnapshot) -> ExecutionReport {
-        report_of(
-            &self.chip,
-            &self.plans,
-            &self.cross_edges,
-            self.hyperperiod,
-            self.iterations,
-            start,
-        )
+fn chip_run(run: FaultedBoardRun) -> FaultedRun {
+    FaultedRun {
+        report: only_chip(run.report),
+        fault: run.fault,
     }
 }
 
@@ -1882,7 +1517,15 @@ impl CompiledBoard {
         let columns = self
             .parts
             .iter()
-            .flat_map(|part| column_pricing_rows(&part.plans))
+            .flat_map(|part| &part.plans)
+            .map(|p| ColumnPricing {
+                chip: p.chip as u32,
+                column: p.column as u32,
+                label: p.name.clone(),
+                tiles: p.tiles,
+                voltage: p.voltage,
+                clock_divider: p.clock_divider,
+            })
             .collect();
         let buses = self
             .parts
@@ -1916,30 +1559,30 @@ impl CompiledBoard {
         report: &BoardExecutionReport,
         tech: &Technology,
     ) -> ReportEnergy {
-        let duration_s = if self.hyperperiod == 0 || self.iteration_rate_hz <= 0.0 {
+        let duration_s = self.run_seconds(report.reference_ticks);
+        let mut total = ReportEnergy {
+            compute_j: 0.0,
+            leakage_j: 0.0,
+            interconnect_j: InterconnectModel::new(tech)
+                .bridge_word_energy_j(self.bridge_energy_pj_per_word)
+                * report.bridge_words as f64,
+            duration_s,
+        };
+        for (part, chip_report) in self.parts.iter().zip(&report.chips) {
+            let chip = chip_report_energy(&part.plans, chip_report, tech, duration_s);
+            total.compute_j += chip.compute_j;
+            total.leakage_j += chip.leakage_j;
+            total.interconnect_j += chip.interconnect_j;
+        }
+        total
+    }
+
+    /// Wall-clock seconds `reference_ticks` span at the compiled rate.
+    fn run_seconds(&self, reference_ticks: u64) -> f64 {
+        if self.hyperperiod == 0 || self.iteration_rate_hz <= 0.0 {
             0.0
         } else {
-            report.reference_ticks as f64 / (self.hyperperiod as f64 * self.iteration_rate_hz)
-        };
-        let interconnect = InterconnectModel::new(tech);
-        let mut compute_j = 0.0;
-        let mut leakage_j = 0.0;
-        let mut interconnect_j = interconnect.bridge_word_energy_j(self.bridge_energy_pj_per_word)
-            * report.bridge_words as f64;
-        for (part, chip_report) in self.parts.iter().zip(&report.chips) {
-            let (c, l) =
-                column_report_energy(&part.plans, &chip_report.column_stats, tech, duration_s);
-            compute_j += c;
-            leakage_j += l;
-            interconnect_j += interconnect
-                .word_energy_j(&BusGeometry::horizontal(tech), bus_voltage(&part.plans))
-                * chip_report.occupied_bus_slots as f64;
-        }
-        ReportEnergy {
-            compute_j,
-            leakage_j,
-            interconnect_j,
-            duration_s,
+            reference_ticks as f64 / (self.hyperperiod as f64 * self.iteration_rate_hz)
         }
     }
 
@@ -1951,28 +1594,11 @@ impl CompiledBoard {
     pub fn utilization(&self, report: &BoardExecutionReport) -> Vec<TrackUtilization> {
         let mut tracks = Vec::new();
         for (chip, (part, chip_report)) in self.parts.iter().zip(&report.chips).enumerate() {
-            for (i, stats) in chip_report.column_stats.iter().enumerate() {
-                let name = part.plans.get(i).map_or("?", |p| p.name.as_str());
-                let divider = part.plans.get(i).map_or(1, |p| p.clock_divider);
-                tracks.push(TrackUtilization {
-                    label: format!("chip{chip}/col{i} {name} (\u{f7}{divider})"),
-                    busy: stats.cycles - stats.branch_stalls - stats.rate_match_stalls,
-                    total: stats.cycles,
-                    unit: "cycles",
-                    detail: format!(
-                        "{} firings, {} stall cycles",
-                        chip_report.firing_counts.get(i).copied().unwrap_or(0),
-                        stats.branch_stalls + stats.rate_match_stalls,
-                    ),
-                });
-            }
-            tracks.push(TrackUtilization {
-                label: format!("chip{chip}/horizontal bus"),
-                busy: chip_report.occupied_bus_slots,
-                total: chip_report.scheduled_bus_slots,
-                unit: "slots",
-                detail: format!("{} words", chip_report.simulated_horizontal_words),
-            });
+            tracks.extend(chip_tracks(
+                &part.plans,
+                chip_report,
+                &format!("chip{chip}/"),
+            ));
         }
         let bridge = self.route.bridge();
         let iterations = report
@@ -1998,45 +1624,12 @@ impl CompiledBoard {
         tracks
     }
 
-    /// Unwrap a board of one chip into the legacy [`CompiledChip`] — the
-    /// single-chip [`compile`] path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a board of more than one chip.
-    fn into_single_chip(mut self) -> CompiledChip {
-        assert_eq!(
-            self.parts.len(),
-            1,
-            "into_single_chip requires a board of exactly one chip"
-        );
-        let parts = self.parts.remove(0);
-        let route = self.route.chips()[0].clone();
-        let chip = self
-            .board
-            .into_chips()
-            .pop()
-            .expect("board of one chip has a chip");
-        CompiledChip {
-            chip,
-            plans: parts.plans,
-            blueprints: parts.blueprints,
-            cross_edges: parts.cross_edges,
-            route,
-            hyperperiod: self.hyperperiod,
-            iterations: self.iterations,
-            iteration_rate_hz: self.iteration_rate_hz,
-            drain_budget: self.drain_budget,
-            tier: self.tier,
-        }
-    }
-
     /// Run the board to completion: the chips co-advance in shared
-    /// reference time (each chip's horizontal bus driven from its own
-    /// TDM schedule exactly as in [`CompiledChip::execute`]) and the
-    /// bridge schedule replays the inter-chip transfers as the board
-    /// clock passes each slot.  On a board of one chip every per-chip
-    /// quantity is bit-identical to the single-chip path.
+    /// reference time (each chip's horizontal bus driven from its own TDM
+    /// schedule) and the bridge schedule replays the inter-chip transfers
+    /// as the board clock passes each slot.  On the fast tier the run is
+    /// profiled and batched in closed form instead, with bit-identical
+    /// statistics.
     ///
     /// Every quantity in the returned [`BoardExecutionReport`] covers
     /// *this call only* (counters are snapshotted on entry and reported
@@ -2044,296 +1637,232 @@ impl CompiledBoard {
     ///
     /// # Errors
     ///
-    /// As for [`CompiledChip::execute`], against the board-wide drain
-    /// budget.
+    /// Propagates simulation faults, reports [`MapperError::Incomplete`]
+    /// if the board fails to halt within its tick budget, and
+    /// [`MapperError::SimFault`] if the starvation watchdog sees a full
+    /// hyperperiod window without progress (a column killed by hand
+    /// beforehand).  On error the board state is unspecified (the loop
+    /// leaves it partially run, the fast tier untouched) — the returned
+    /// error value itself is tier-independent.
     pub fn execute(&mut self) -> Result<BoardExecutionReport, MapperError> {
-        match self.tier {
-            ExecutionTier::Interpreted => self.execute_interpreted(),
-            ExecutionTier::Fast => self.execute_fast(),
+        let run = self.drive(&FaultPlan::none(), false)?;
+        match run.fault {
+            None => Ok(run.report),
+            Some(fault) => Err(MapperError::SimFault(fault)),
         }
     }
 
-    /// [`CompiledBoard::execute`] on the interpreted tier, regardless of
-    /// the compiled [`ExecutionTier`].
+    /// Run the board to completion under a deterministic [`FaultPlan`]:
+    /// each scheduled event fires iff the board has not fully halted when
+    /// its reference tick is reached (a board that drains first never
+    /// sees the fault).  Column events kill a column of one chip: it
+    /// executes nothing and bills nothing from its event tick on but
+    /// never reports halted, so the board starves and the run ends in
+    /// `fault: Some(SimFault::Stalled)` via the watchdog.  Bridge-lane
+    /// events kill a lane, dropping every slot scheduled on it from the
+    /// event tick on (undelivered and unaccounted); receives do not
+    /// block, so such runs complete with `fault: None` and reduced bridge
+    /// traffic.  Events naming a lane the board does not have are no-ops.
+    ///
+    /// On the fast tier, a run whose predicted halt precedes every
+    /// scheduled event keeps the closed-form batch path (no event would
+    /// ever fire); otherwise it falls back to the windowed loop, whose
+    /// statistics are bit-identical anyway.  Every tier and driver shares
+    /// the plain run's tick budget.
     ///
     /// # Errors
     ///
-    /// As for [`CompiledBoard::execute`].
-    pub fn execute_interpreted(&mut self) -> Result<BoardExecutionReport, MapperError> {
-        let start = self.snapshot();
-
-        for _ in 0..self.iterations {
-            if self.board.all_halted() {
-                break;
-            }
-            self.board.run(self.hyperperiod)?;
-        }
-        // Drain: the halt-observing tick of every column of every chip
-        // lies past the last iteration window.  The watchdog turns a
-        // drain that makes no progress across a full window into a
-        // structured stall instead of spinning the budget down on a
-        // wedged board.
-        let window = self.hyperperiod.max(1);
-        let mut spent = self.board.reference_cycles() - start.reference;
-        while !self.board.all_halted() && spent < self.drain_budget {
-            let before = board_progress(&self.board);
-            self.board.run(window)?;
-            spent = self.board.reference_cycles() - start.reference;
-            if !self.board.all_halted() && board_progress(&self.board) == before {
-                let tick = self.board.reference_cycles();
-                self.board
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                return Err(MapperError::SimFault(SimFault::Stalled {
-                    reference_cycles: spent,
-                    window,
-                }));
-            }
-        }
-        if !self.board.all_halted() {
-            // Budget exhausted with live columns: one diagnostic window
-            // separates a wedged board (zero progress — structured stall)
-            // from a merely slow one (Incomplete).  The error value stays
-            // tier-independent; the board state on error is unspecified.
-            let before = board_progress(&self.board);
-            self.board.run(window)?;
-            if board_progress(&self.board) == before {
-                let tick = self.board.reference_cycles();
-                self.board
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                return Err(MapperError::SimFault(SimFault::Stalled {
-                    reference_cycles: tick - start.reference,
-                    window,
-                }));
-            }
-            return Err(MapperError::Incomplete { ticks: spent });
-        }
-        // Play out the remaining slots of every schedule: the chips'
-        // bus programs first, then the board's bridge program.
-        for chip in 0..self.parts.len() {
-            self.board
-                .chip_mut(chip)
-                .expect("board sized from the mapping")
-                .finish_bus_program()?;
-        }
-        self.board.finish_bridge_program();
-        Ok(self.report_since(&start))
-    }
-
-    /// [`CompiledBoard::execute`] on the fast tier: each chip is
-    /// profiled and batched exactly as in [`CompiledChip::execute_fast`],
-    /// the board clock jumps to the fleet's frontier, and the bridge
-    /// program drains in bulk.  The produced report — and every chip's
-    /// externally visible statistics — are bit-identical to
-    /// [`CompiledBoard::execute_interpreted`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledChip::execute_fast`]; the budget check reproduces
-    /// [`MapperError::Incomplete`] *without* mutating any chip.
-    pub fn execute_fast(&mut self) -> Result<BoardExecutionReport, MapperError> {
-        if (0..self.parts.len()).any(|chip| self.board.chip(chip).is_some_and(Chip::any_failed)) {
-            // A failed column has no closed form — it executes nothing,
-            // forever — so delegate to the interpreted driver, whose
-            // watchdog classifies the wedge as a structured stall.
-            return self.execute_interpreted();
-        }
-        let start = self.snapshot();
-
-        if !self.board.all_halted() {
-            let mut tiers = Vec::with_capacity(self.parts.len());
-            for parts in &self.parts {
-                tiers.push(build_fast_tier(
-                    &parts.plans,
-                    &parts.blueprints,
-                    self.iterations,
-                )?);
-            }
-            // Same budget verdict as the interpreted board driver, from
-            // the predicted per-chip halt ticks, before touching any chip.
-            let window = self.hyperperiod.max(1);
-            let budget_windows = self.iterations.max(self.drain_budget.div_ceil(window));
-            let budget_ticks = budget_windows.saturating_mul(window);
-            for (chip, tier) in tiers.iter().enumerate() {
-                let chip = self.board.chip(chip).expect("board sized from the mapping");
-                if let Some(halt_tick) = tier.completion_tick(chip)? {
-                    if halt_tick >= budget_ticks {
-                        return Err(MapperError::Incomplete {
-                            ticks: budget_ticks,
-                        });
-                    }
-                }
-            }
-            for (chip, tier) in tiers.into_iter().enumerate() {
-                tier.run(
-                    self.board
-                        .chip_mut(chip)
-                        .expect("board sized from the mapping"),
-                )?;
-            }
-            // Publish the fleet's frontier as the board reference clock
-            // (a zero-tick run: every chip is already at or past it).
-            self.board.run(0)?;
-        } else {
-            // An already-halted board: the interpreted driver would
-            // observe the halt immediately and still play the bus
-            // schedules out.
-            for chip in 0..self.parts.len() {
-                self.board
-                    .chip_mut(chip)
-                    .expect("board sized from the mapping")
-                    .finish_bus_program_batched()?;
-            }
-        }
-        self.board.finish_bridge_program_batched();
-        Ok(self.report_since(&start))
-    }
-
-    /// Run the board to completion under a deterministic [`FaultPlan`] —
-    /// the board-wide analogue of [`CompiledChip::execute_faulted`].
-    /// Column events kill a column of one chip; bridge-lane events kill a
-    /// lane, dropping every slot scheduled on it from the event tick on
-    /// (undelivered and unaccounted).  A lane kill alone never starves a
-    /// column — receives do not block — so such runs complete with
-    /// `fault: None` and reduced bridge traffic; a column kill starves
-    /// the board and ends in `fault: Some(SimFault::Stalled)` via the
-    /// watchdog.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledBoard::execute`]; a watchdog stall is the
-    /// structured [`FaultedBoardRun::fault`] outcome, not an error.
+    /// As for [`CompiledBoard::execute`]; a watchdog stall is *not* an
+    /// error here — it is the structured [`FaultedBoardRun::fault`]
+    /// outcome.
     pub fn execute_faulted(&mut self, plan: &FaultPlan) -> Result<FaultedBoardRun, MapperError> {
-        if plan.is_empty() {
-            let report = self.execute()?;
-            return Ok(FaultedBoardRun {
-                report,
-                fault: None,
-            });
-        }
-        match self.tier {
-            ExecutionTier::Interpreted => self.run_faulted_board(plan),
-            ExecutionTier::Fast => self.execute_faulted_board_fast(plan),
-        }
+        self.drive(plan, false)
     }
 
-    /// [`CompiledBoard::execute_faulted`] on the interpreted tier,
-    /// regardless of the compiled [`ExecutionTier`].
+    /// [`CompiledBoard::execute_faulted`] on the naive tick-by-tick
+    /// driver ([`Board::run_ticked`]) regardless of the compiled
+    /// [`ExecutionTier`] — the differential-testing reference.  Windows
+    /// are cut at exactly the same reference ticks as the event-driven
+    /// loop's, so the two produce bit-identical statistics, outcomes and
+    /// trace streams.
     ///
     /// # Errors
     ///
     /// As for [`CompiledBoard::execute_faulted`].
-    pub fn execute_faulted_interpreted(
+    pub fn execute_faulted_ticked(
         &mut self,
         plan: &FaultPlan,
     ) -> Result<FaultedBoardRun, MapperError> {
-        if plan.is_empty() {
-            let report = self.execute_interpreted()?;
-            return Ok(FaultedBoardRun {
-                report,
-                fault: None,
-            });
-        }
-        self.run_faulted_board(plan)
+        self.drive(plan, true)
     }
 
-    fn execute_faulted_board_fast(
-        &mut self,
-        plan: &FaultPlan,
-    ) -> Result<FaultedBoardRun, MapperError> {
-        if self.board.all_halted() {
-            let report = self.execute_fast()?;
-            return Ok(FaultedBoardRun {
-                report,
-                fault: None,
-            });
-        }
-        // Board-wide halt prediction: the latest chip halt tick.  As for
-        // the single chip, only a strictly earlier halt keeps the
-        // closed-form path.
-        let mut latest: Option<u64> = None;
-        for (c, parts) in self.parts.iter().enumerate() {
-            let tier = build_fast_tier(&parts.plans, &parts.blueprints, self.iterations)?;
-            let chip = self.board.chip(c).expect("board sized from the mapping");
-            if let Some(t) = tier.completion_tick(chip)? {
-                latest = Some(latest.map_or(t, |l| l.max(t)));
-            }
-        }
-        let first = plan.first_tick().expect("plan checked non-empty");
-        if latest.is_some_and(|t| t < first) {
-            let report = self.execute_fast()?;
-            return Ok(FaultedBoardRun {
-                report,
-                fault: None,
-            });
-        }
-        self.run_faulted_board(plan)
-    }
-
-    /// The board faulted driver — the same window/event/watchdog loop as
-    /// [`CompiledChip::run_faulted`], over the co-advancing fleet.
-    fn run_faulted_board(&mut self, plan: &FaultPlan) -> Result<FaultedBoardRun, MapperError> {
+    /// The one execution driver behind every `execute*` method of both
+    /// compiled types: the fast tier's closed form where it applies,
+    /// otherwise the windowed loop (event-driven, or tick by tick when
+    /// `ticked`), then the tail of every bus and bridge schedule unless
+    /// the run stalled (a stalled board's schedule has no meaningful
+    /// tail).
+    fn drive(&mut self, plan: &FaultPlan, ticked: bool) -> Result<FaultedBoardRun, MapperError> {
+        // Publish the fleet's frontier first, so a chip stepped by hand
+        // is windowed from where it stands (a no-op on a fresh board).
+        self.board.run(0)?;
         let start = self.snapshot();
-        let origin = self.board.reference_cycles();
-        let window = self.hyperperiod.max(1);
-        let budget = self
-            .iterations
-            .saturating_mul(window)
-            .saturating_add(self.drain_budget);
-        let events = plan.events();
-        let mut next = 0usize;
-        let fault = loop {
-            if self.board.all_halted() {
-                break None;
-            }
-            let now = self.board.reference_cycles() - origin;
-            while next < events.len() && events[next].at_tick <= now {
-                let at = origin + events[next].at_tick;
-                match events[next].target {
-                    FaultTarget::Column { chip, column } => {
-                        self.board.fail_column(chip, column, at);
-                    }
-                    FaultTarget::BridgeLane { lane } => {
-                        self.board.fail_lane(lane, at);
-                    }
+        let fast = self.tier == ExecutionTier::Fast && !ticked;
+        let fault = if fast && self.run_fast(plan.first_tick())? {
+            None
+        } else {
+            let fault = self.run_windows(plan, ticked)?;
+            if fault.is_none() {
+                for chip in 0..self.parts.len() {
+                    self.sim_chip_mut(chip).finish_bus_program()?;
                 }
-                next += 1;
+                self.board.finish_bridge_program();
             }
-            if now >= budget {
-                return Err(MapperError::Incomplete { ticks: now });
-            }
-            let mut target = now.saturating_add(window);
-            if next < events.len() {
-                target = target.min(events[next].at_tick);
-            }
-            let full_window = target - now == window;
-            let before = board_progress(&self.board);
-            self.board.run(target - now)?;
-            if full_window && !self.board.all_halted() && board_progress(&self.board) == before {
-                let tick = self.board.reference_cycles();
-                self.board
-                    .trace()
-                    .emit(|| TraceEvent::FaultStalled { tick, window });
-                break Some(SimFault::Stalled {
-                    reference_cycles: tick - origin,
-                    window,
-                });
-            }
+            fault
         };
-        if fault.is_none() {
-            for chip in 0..self.parts.len() {
-                self.board
-                    .chip_mut(chip)
-                    .expect("board sized from the mapping")
-                    .finish_bus_program()?;
-            }
-            self.board.finish_bridge_program();
-        }
         Ok(FaultedBoardRun {
             report: self.report_since(&start),
             fault,
         })
+    }
+
+    /// Reference ticks a run may take before it is
+    /// [`MapperError::Incomplete`]: the iteration windows, or the drain
+    /// budget rounded up to whole windows when that is longer.
+    fn budget_ticks(&self) -> u64 {
+        let window = self.hyperperiod.max(1);
+        self.iterations
+            .max(self.drain_budget.div_ceil(window))
+            .saturating_mul(window)
+    }
+
+    /// The fast tier: profile one firing per column of every chip, check
+    /// the run would end within [`CompiledBoard::budget_ticks`], then
+    /// apply every remaining firing as a closed-form counter update and
+    /// drain the bus and bridge programs in bulk.  Statistics are
+    /// bit-identical to the windowed loop; the budget check reproduces
+    /// [`MapperError::Incomplete`] *without* mutating any chip.
+    ///
+    /// Returns `false`, touching nothing, when there is no closed form: a
+    /// failed column executes nothing, forever, and a fault event at or
+    /// before the predicted halt has no mid-run point to inject at.  (At
+    /// equality the event fires first — the halt-observing tick has not
+    /// executed yet — so only a strictly earlier halt keeps this path.)
+    fn run_fast(&mut self, first_event: Option<u64>) -> Result<bool, MapperError> {
+        let chips = self.parts.len();
+        if (0..chips).any(|chip| self.sim_chip(chip).any_failed()) {
+            return Ok(false);
+        }
+        if self.board.all_halted() {
+            // The loop would observe the halt at once and still play the
+            // schedules out.
+            for chip in 0..chips {
+                self.sim_chip_mut(chip).finish_bus_program_batched()?;
+            }
+        } else {
+            let tiers = self
+                .parts
+                .iter()
+                .map(|part| build_fast_tier(&part.plans, &part.blueprints, self.iterations))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut halt = None;
+            for (chip, tier) in tiers.iter().enumerate() {
+                halt = halt.max(tier.completion_tick(self.sim_chip(chip))?);
+            }
+            if first_event.is_some_and(|first| halt.is_none_or(|t| t >= first)) {
+                return Ok(false);
+            }
+            let budget = self.budget_ticks();
+            if halt.is_some_and(|t| t >= budget) {
+                return Err(MapperError::Incomplete { ticks: budget });
+            }
+            for (chip, tier) in tiers.iter().enumerate() {
+                tier.run(self.sim_chip_mut(chip))?;
+            }
+            // Publish the fleet's frontier as the board reference clock
+            // (a zero-tick run: every chip is already at or past it).
+            self.board.run(0)?;
+        }
+        self.board.finish_bridge_program_batched();
+        Ok(true)
+    }
+
+    /// The windowed loop: advance the fleet one hyperperiod window at a
+    /// time, cutting a window short at the next unfired fault event so
+    /// each event fires at its exact reference tick, with the starvation
+    /// watchdog armed on every full window.  Once the
+    /// [budget](CompiledBoard::budget_ticks) is spent, one diagnostic
+    /// window separates a wedged board (zero progress — a structured
+    /// stall) from a merely slow one ([`MapperError::Incomplete`]).
+    /// Returns the stall, if any; `None` means every chip halted.
+    fn run_windows(
+        &mut self,
+        plan: &FaultPlan,
+        ticked: bool,
+    ) -> Result<Option<SimFault>, MapperError> {
+        let advance = if ticked {
+            Board::run_ticked
+        } else {
+            Board::run
+        };
+        let origin = self.board.reference_cycles();
+        let window = self.hyperperiod.max(1);
+        let budget = self.budget_ticks();
+        let lanes = self.route.spec().lanes().len();
+        let events = plan.events();
+        let mut next = 0usize;
+        loop {
+            if self.board.all_halted() {
+                return Ok(None);
+            }
+            let now = self.board.reference_cycles() - origin;
+            while let Some(event) = events.get(next).filter(|e| e.at_tick <= now) {
+                let at = origin + event.at_tick;
+                match event.target {
+                    FaultTarget::Column { chip, column } => {
+                        self.board.fail_column(chip, column, at);
+                    }
+                    FaultTarget::BridgeLane { lane } if lane < lanes => {
+                        self.board.fail_lane(lane, at);
+                    }
+                    FaultTarget::BridgeLane { .. } => {}
+                }
+                next += 1;
+            }
+            let over_budget = now >= budget;
+            let mut target = now.saturating_add(window);
+            if let Some(event) = events.get(next).filter(|_| !over_budget) {
+                target = target.min(event.at_tick);
+            }
+            let before = board_progress(&self.board);
+            advance(&mut self.board, target - now)?;
+            if target - now == window
+                && !self.board.all_halted()
+                && board_progress(&self.board) == before
+            {
+                let tick = self.board.reference_cycles();
+                self.board
+                    .trace()
+                    .emit(|| TraceEvent::FaultStalled { tick, window });
+                return Ok(Some(SimFault::Stalled {
+                    reference_cycles: tick - origin,
+                    window,
+                }));
+            }
+            if over_budget {
+                return Err(MapperError::Incomplete { ticks: now });
+            }
+        }
+    }
+
+    fn sim_chip(&self, chip: usize) -> &Chip {
+        self.board.chip(chip).expect("board sized from the mapping")
+    }
+
+    fn sim_chip_mut(&mut self, chip: usize) -> &mut Chip {
+        self.board
+            .chip_mut(chip)
+            .expect("board sized from the mapping")
     }
 
     fn snapshot(&self) -> BoardSnapshot {
@@ -2343,11 +1872,16 @@ impl CompiledBoard {
                 .parts
                 .iter()
                 .enumerate()
-                .map(|(c, parts)| {
-                    snapshot_of(
-                        self.board.chip(c).expect("board sized from the mapping"),
-                        &parts.plans,
-                    )
+                .map(|(c, part)| {
+                    let chip = self.sim_chip(c);
+                    StatsSnapshot {
+                        ticks: chip.stats().reference_cycles,
+                        words: chip.stats().horizontal_transfers,
+                        firings: measured_firings_of(chip, &part.plans),
+                        columns: chip.column_stats(),
+                        column_bus: chip.column_bus_stats(),
+                        bus: chip.horizontal_stats().unwrap_or_default(),
+                    }
                 })
                 .collect(),
             bridge: self.board.bridge_stats(),
@@ -2360,16 +1894,7 @@ impl CompiledBoard {
             .parts
             .iter()
             .enumerate()
-            .map(|(c, parts)| {
-                report_of(
-                    self.board.chip(c).expect("board sized from the mapping"),
-                    &parts.plans,
-                    &parts.cross_edges,
-                    self.hyperperiod,
-                    self.iterations,
-                    &start.chips[c],
-                )
-            })
+            .map(|(c, part)| self.chip_report(c, part, &start.chips[c]))
             .collect();
         let bridge = self.board.bridge_stats();
         BoardExecutionReport {
@@ -2387,6 +1912,80 @@ impl CompiledBoard {
                 .enumerate()
                 .map(|(i, now)| now - start.lane_words.get(i).copied().unwrap_or(0))
                 .collect(),
+        }
+    }
+
+    /// Chip `c`'s share of a run: the deltas of its counters since
+    /// `start`.
+    fn chip_report(
+        &self,
+        c: usize,
+        part: &BoardChipParts,
+        start: &StatsSnapshot,
+    ) -> ExecutionReport {
+        let chip = self.sim_chip(c);
+        let iterations = self.iterations;
+        let firings = measured_firings_of(chip, &part.plans);
+        let firing_counts: Vec<u64> = firings
+            .iter()
+            .zip(&start.firings)
+            .map(|(now, before)| now - before)
+            .collect();
+        let expected: Vec<u64> = part
+            .plans
+            .iter()
+            .map(|p| p.firings_per_iteration * iterations)
+            .collect();
+        let predicted_words = part
+            .cross_edges
+            .iter()
+            .map(|e| e.words_per_iteration * iterations)
+            .sum();
+        let column_stats: Vec<ColumnStats> = chip
+            .column_stats()
+            .iter()
+            .zip(&start.columns)
+            .map(|(now, before)| now.delta(before))
+            .collect();
+        let column_bus: Vec<BusStats> = chip
+            .column_bus_stats()
+            .iter()
+            .zip(&start.column_bus)
+            .map(|(now, before)| now.delta(before))
+            .collect();
+        let bus = chip.horizontal_stats().unwrap_or_default();
+        // Firing totals are derived from the broadcast counters at report
+        // time on both tiers (the interpreter has no per-firing hook), so
+        // interpreted and fast runs emit the identical batched event.
+        let trace = chip.trace();
+        if trace.enabled() {
+            let chip_id = chip.chip_id();
+            let tick = chip.stats().reference_cycles;
+            for (column, &count) in firing_counts.iter().enumerate() {
+                if count > 0 {
+                    trace.emit(|| TraceEvent::ColumnFiring {
+                        chip: chip_id,
+                        column: column as u32,
+                        tick,
+                        count,
+                    });
+                }
+            }
+        }
+        ExecutionReport {
+            iterations,
+            reference_ticks: chip.stats().reference_cycles - start.ticks,
+            hyperperiod: self.hyperperiod,
+            firing_counts,
+            expected_firings: expected,
+            simulated_horizontal_words: chip.stats().horizontal_transfers - start.words,
+            predicted_horizontal_words: predicted_words,
+            column_cycles: column_stats.iter().map(|s| s.cycles).collect(),
+            intra_column_words: column_stats.iter().map(|s| s.bus_word_transfers).collect(),
+            scheduled_bus_slots: bus.scheduled_slots - start.bus.scheduled_slots,
+            occupied_bus_slots: bus.occupied_slots - start.bus.occupied_slots,
+            column_stats,
+            column_bus,
         }
     }
 }

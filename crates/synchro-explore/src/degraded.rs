@@ -237,7 +237,7 @@ fn point_for(
 /// (so a full-rate remap is found whenever one exists), and return the
 /// per-loss [`DegradationCurve`].
 ///
-/// The graph is analysed once; per ladder rate one [`Evaluator`] and
+/// The graph is analysed once; per ladder rate one `Evaluator` and
 /// one shared `EvalCache` price operating points across every loss
 /// still unresolved at that rate (the cache is rate-dependent, so it
 /// cannot be shared across rungs).  Losses that stay infeasible at

@@ -976,7 +976,7 @@ pub struct BusWidthPoint {
 /// keeping `base`'s period and segment-group count.
 ///
 /// Interval costs do not depend on the frame, so the sweep analyses the
-/// graph and builds the [`search::IntervalArena`] once and reruns only
+/// graph and builds the `search::IntervalArena` once and reruns only
 /// the engine per width — each point is bit-identical to an independent
 /// [`explore`] call at that width.
 pub fn explore_bus_widths(

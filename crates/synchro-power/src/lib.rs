@@ -16,7 +16,7 @@
 //!   of Wires" semi-global wire parameters),
 //! * [`leakage`] — the analytical sub-threshold leakage model,
 //! * [`area`] — the synthesized component area estimates of Table 2,
-//! * [`column`] — the per-column power roll-up used by every experiment.
+//! * [`column`](mod@column) — the per-column power roll-up used by every experiment.
 //!
 //! # Example
 //!

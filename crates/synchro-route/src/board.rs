@@ -1,9 +1,9 @@
 //! Multi-chip boards: bridge-aware flow derivation and TDM scheduling.
 //!
-//! A [`BoardSpec`] generalizes a single [`BusSpec`](crate::BusSpec) to a
+//! A [`BoardSpec`] generalizes a single [`BusSpec`] to a
 //! board of N Synchroscalar chips joined by directed chip-to-chip
 //! [`BridgeLane`]s.  Intra-chip traffic is scheduled exactly as on a
-//! single chip (one [`RouteSchedule`](crate::RouteSchedule) per chip);
+//! single chip (one [`RouteSchedule`] per chip);
 //! inter-chip traffic is packed onto the bridge lanes with the same
 //! deterministic greedy first-fit discipline, producing a conflict-free
 //! periodic [`BridgeSchedule`].  A board of one chip compiles to exactly
@@ -457,7 +457,7 @@ pub fn board_flows(
 
 /// Compile a chip-qualified `(graph, mapping)` pair against a board:
 /// every chip's intra-chip flows become a conflict-free
-/// [`RouteSchedule`](crate::RouteSchedule) on that chip's bus (exactly as
+/// [`RouteSchedule`] on that chip's bus (exactly as
 /// [`compile`](crate::compile) would on a single chip), and the
 /// inter-chip flows are packed onto the bridge lanes by the same greedy
 /// earliest-cursor first-fit, splitting a flow across parallel lanes of

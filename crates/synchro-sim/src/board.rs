@@ -188,12 +188,6 @@ impl Board {
         self.chips.get_mut(index)
     }
 
-    /// Consume the board and return its chips (the single-chip compile
-    /// path unwraps a board of one through this).
-    pub fn into_chips(self) -> Vec<Chip> {
-        self.chips
-    }
-
     /// The board reference clock: the frontier the fleet has advanced to.
     pub fn reference_cycles(&self) -> u64 {
         self.reference_cycles
@@ -447,12 +441,32 @@ impl Board {
     ///
     /// Propagates the first column error encountered.
     pub fn run(&mut self, max_ticks: u64) -> Result<u64, ColumnError> {
+        self.co_advance(max_ticks, Chip::run)
+    }
+
+    /// The naive equivalent of [`Board::run`]: every chip advances tick by
+    /// tick through [`Chip::run_ticked`].  Kept as the differential-testing
+    /// reference for the board drivers; statistics and trace events are
+    /// bit-identical to [`Board::run`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first column error encountered.
+    pub fn run_ticked(&mut self, max_ticks: u64) -> Result<u64, ColumnError> {
+        self.co_advance(max_ticks, Chip::run_ticked)
+    }
+
+    fn co_advance(
+        &mut self,
+        max_ticks: u64,
+        run_chip: fn(&mut Chip, u64) -> Result<u64, ColumnError>,
+    ) -> Result<u64, ColumnError> {
         let start = self.reference_cycles;
         let end = start.saturating_add(max_ticks);
         for chip in &mut self.chips {
             let now = chip.stats().reference_cycles;
             if now < end && !chip.all_halted() {
-                chip.run(end - now)?;
+                run_chip(chip, end - now)?;
             }
         }
         let frontier = self
@@ -552,6 +566,28 @@ mod tests {
         assert_eq!(stats.occupied_slots, 3 * 3);
         assert_eq!(stats.scheduled_slots, 3 * 16);
         assert_eq!(board.lane_words(), &[6, 3]);
+    }
+
+    #[test]
+    fn ticked_co_advance_matches_the_event_driven_one() {
+        let mut event_driven = two_chip_board();
+        let mut ticked = two_chip_board();
+        event_driven.load_bridge_program(bridge_program(3)).unwrap();
+        ticked.load_bridge_program(bridge_program(3)).unwrap();
+        for window in [5, 7, 100] {
+            assert_eq!(
+                event_driven.run(window).unwrap(),
+                ticked.run_ticked(window).unwrap()
+            );
+            assert_eq!(event_driven.bridge_stats(), ticked.bridge_stats());
+            assert_eq!(event_driven.lane_words(), ticked.lane_words());
+            for chip in 0..2 {
+                let (a, b) = (event_driven.chip(chip), ticked.chip(chip));
+                assert_eq!(a.map(Chip::stats), b.map(Chip::stats));
+                assert_eq!(a.map(Chip::column_stats), b.map(Chip::column_stats));
+            }
+        }
+        assert!(ticked.all_halted());
     }
 
     #[test]

@@ -11,14 +11,21 @@
 //! chips, executes bit-identically on both tiers, and reports priced
 //! bridge occupancy.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use synchroscalar::apps::{deep_pipeline, DEEP_PIPELINE_RATE_HZ};
+use synchroscalar::apps::{deep_pipeline, reference_graph, Application, DEEP_PIPELINE_RATE_HZ};
 use synchroscalar::experiments;
 use synchroscalar::explorer::{explore, explore_board, BoardSearch, CommSpec, ExplorerConfig};
 use synchroscalar::mapper::{self, BoardConfig, ExecutionTier, MapperError, MapperOptions};
-use synchroscalar::power::Technology;
+use synchroscalar::power::{
+    BusGeometry, InterconnectModel, LeakageModel, Technology, TilePowerModel,
+};
 use synchroscalar::router::RouteError;
 use synchroscalar::sdf::{Mapping, SdfGraph};
+use synchroscalar::sim::FaultPlan;
+use synchroscalar::trace::analyze::{BusPricing, ColumnPricing, PriceSpec};
+use synchroscalar::trace::{normalize, RingBufferSink, Trace, TraceEvent};
 
 const RATE_CHOICES: [(u64, u64); 4] = [(1, 1), (1, 2), (2, 1), (2, 2)];
 
@@ -252,5 +259,141 @@ fn deep_pipeline_is_rejected_on_one_chip_but_boards_feasibly() {
         assert_eq!(row.chips, 2);
         assert!(row.bridge_power_mw > 0.0);
         assert!(row.bridge_utilization > 0.0);
+    }
+}
+
+/// What the one-chip view of a board must not change, on all six
+/// reference profiles and both tiers: the single-chip price spec (no
+/// bridge rating, although the board default rates 2 pJ/word), the
+/// report-counter energy to the bit, the single-chip utilization labels,
+/// and a bridge-lane kill — a chip has no lanes — running exactly like
+/// plain execution, without a `FaultLaneKilled` event.  The expected
+/// values are the single-chip definitions spelled out.
+#[test]
+fn the_chip_view_keeps_single_chip_pricing_labels_and_lane_semantics() {
+    let tech = Technology::isca2004();
+    for app in Application::all() {
+        let reference = reference_graph(app);
+        for tier in [ExecutionTier::Interpreted, ExecutionTier::Fast] {
+            let case = format!("{} [{tier:?}]", app.name());
+            let plain_ring = Arc::new(RingBufferSink::new(1 << 22));
+            let faulted_ring = Arc::new(RingBufferSink::new(1 << 22));
+            let compile_with = |trace| {
+                let options = MapperOptions {
+                    iterations: 2,
+                    iteration_rate_hz: reference.iteration_rate_hz,
+                    tech: tech.clone(),
+                    tier,
+                    trace,
+                    ..MapperOptions::default()
+                };
+                mapper::compile(&reference.graph, &reference.mapping, &options)
+                    .expect("reference mappings compile")
+            };
+            let mut compiled = compile_with(Trace::to(plain_ring.clone()));
+            let report = compiled.execute().expect("reference mappings execute");
+            let plans = compiled.plans();
+            let bus_voltage = plans.iter().map(|p| p.voltage).fold(0.0, f64::max);
+
+            let expected = PriceSpec {
+                iteration_rate_hz: compiled.iteration_rate_hz(),
+                hyperperiod: compiled.hyperperiod(),
+                tile_power: TilePowerModel::new(&tech),
+                leakage: LeakageModel::new(&tech),
+                interconnect: InterconnectModel::new(&tech),
+                columns: plans
+                    .iter()
+                    .map(|p| ColumnPricing {
+                        chip: 0,
+                        column: p.column as u32,
+                        label: p.name.clone(),
+                        tiles: p.tiles,
+                        voltage: p.voltage,
+                        clock_divider: p.clock_divider,
+                    })
+                    .collect(),
+                buses: vec![BusPricing {
+                    chip: 0,
+                    geometry: BusGeometry::horizontal(&tech),
+                    voltage: bus_voltage,
+                    scheduled_slots_per_iteration: compiled.route().scheduled_slots(),
+                }],
+                bridge_energy_pj_per_word: 0.0,
+                bridge_scheduled_slots_per_iteration: 0,
+            };
+            assert_eq!(
+                format!("{:?}", compiled.price_spec(&tech)),
+                format!("{expected:?}"),
+                "{case}: price spec"
+            );
+
+            let duration_s = report.reference_ticks as f64
+                / (compiled.hyperperiod() as f64 * compiled.iteration_rate_hz());
+            let tile_power = TilePowerModel::new(&tech);
+            let leakage = LeakageModel::new(&tech);
+            let (mut compute_j, mut leakage_j) = (0.0, 0.0);
+            for (plan, stats) in plans.iter().zip(&report.column_stats) {
+                compute_j += tile_power.energy_per_cycle_nj(plan.voltage)
+                    * 1e-9
+                    * f64::from(plan.tiles)
+                    * stats.cycles as f64;
+                leakage_j += leakage.power_mw(plan.tiles, plan.voltage) * 1e-3 * duration_s;
+            }
+            let interconnect_j = InterconnectModel::new(&tech)
+                .word_energy_j(&BusGeometry::horizontal(&tech), bus_voltage)
+                * report.occupied_bus_slots as f64;
+            let energy = compiled.execution_energy(&report, &tech);
+            assert_eq!(
+                [
+                    energy.compute_j.to_bits(),
+                    energy.leakage_j.to_bits(),
+                    energy.interconnect_j.to_bits(),
+                    energy.duration_s.to_bits(),
+                ],
+                [
+                    compute_j.to_bits(),
+                    leakage_j.to_bits(),
+                    interconnect_j.to_bits(),
+                    duration_s.to_bits(),
+                ],
+                "{case}: report energy"
+            );
+
+            let labels: Vec<String> = compiled
+                .utilization(&report)
+                .into_iter()
+                .map(|t| t.label)
+                .collect();
+            let mut expected_labels: Vec<String> = plans
+                .iter()
+                .enumerate()
+                .map(|(i, p)| format!("col{i} {} (\u{f7}{})", p.name, p.clock_divider))
+                .collect();
+            expected_labels.push("horizontal bus".to_owned());
+            assert_eq!(labels, expected_labels, "{case}: utilization rows");
+
+            let mut faulted = compile_with(Trace::to(faulted_ring.clone()));
+            let mut plan = FaultPlan::none();
+            plan.kill_lane(0, faulted.hyperperiod());
+            let run = faulted
+                .execute_faulted(&plan)
+                .expect("lane kills never fail");
+            assert_eq!(run.fault, None, "{case}");
+            assert_eq!(run.report, report, "{case}: lane kill vs plain report");
+            assert_eq!(faulted.chip().stats(), compiled.chip().stats(), "{case}");
+            assert_eq!(faulted_ring.dropped(), 0);
+            let events = faulted_ring.events();
+            assert!(
+                !events
+                    .iter()
+                    .any(|e| matches!(e, TraceEvent::FaultLaneKilled { .. })),
+                "{case}: a chip has no lane to kill"
+            );
+            assert_eq!(
+                normalize(&events),
+                normalize(&plain_ring.events()),
+                "{case}: lane kill vs plain event stream"
+            );
+        }
     }
 }

@@ -12,7 +12,9 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use synchroscalar::mapper::{self, ExecutionTier, MapperOptions};
+use synchroscalar::apps::{deep_pipeline, DEEP_PIPELINE_RATE_HZ};
+use synchroscalar::explorer::{explore, CommSpec, ExplorerConfig};
+use synchroscalar::mapper::{self, ExecutionTier, MapperError, MapperOptions};
 use synchroscalar::sdf::{Mapping, SdfGraph};
 use synchroscalar::trace::{normalize, RingBufferSink, Trace};
 
@@ -614,10 +616,12 @@ proptest! {
 }
 
 /// Board-level fault differential: kill a column of either chip or a
-/// bridge lane mid-run; the interpreted and fast board drivers must
-/// produce bit-identical `FaultedBoardRun`s, per-chip statistics and
-/// bridge counters, and the structured outcome must match the board
-/// state.
+/// bridge lane mid-run; the event-driven, naive ticked and fast board
+/// drivers must produce bit-identical `FaultedBoardRun`s, per-chip
+/// statistics and bridge counters, and the structured outcome must match
+/// the board state.  As for single chips, the event-driven and ticked
+/// drivers must also emit the same raw trace, event for event and in
+/// order.
 fn check_faulted_board_tiers(
     graph: &SdfGraph,
     mapping: &Mapping,
@@ -625,33 +629,46 @@ fn check_faulted_board_tiers(
     plan: &synchroscalar::sim::FaultPlan,
 ) -> Result<(), TestCaseError> {
     let board_config = mapper::BoardConfig::default();
-    let compile_on = |tier| {
+    let compile_on = |tier, trace| {
         mapper::compile_board(
             graph,
             mapping,
             &MapperOptions {
                 tier,
+                trace,
                 ..options.clone()
             },
             &board_config,
         )
     };
-    let (mut interpreted, mut fast) = match (
-        compile_on(ExecutionTier::Interpreted),
-        compile_on(ExecutionTier::Fast),
+    let interpreted_ring = Arc::new(RingBufferSink::new(1 << 20));
+    let ticked_ring = Arc::new(RingBufferSink::new(1 << 20));
+    let (mut interpreted, mut fast, mut ticked) = match (
+        compile_on(
+            ExecutionTier::Interpreted,
+            Trace::to(interpreted_ring.clone()),
+        ),
+        compile_on(ExecutionTier::Fast, Trace::off()),
+        compile_on(ExecutionTier::Interpreted, Trace::to(ticked_ring.clone())),
     ) {
-        (Ok(i), Ok(f)) => (i, f),
-        (i, f) => {
+        (Ok(i), Ok(f), Ok(t)) => (i, f, t),
+        (i, f, _) => {
             prop_assert_eq!(format!("{:?}", i.err()), format!("{:?}", f.err()));
             return Ok(());
         }
     };
     let a = interpreted.execute_faulted(plan);
     let b = fast.execute_faulted(plan);
+    let c = ticked.execute_faulted_ticked(plan);
     prop_assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
         "board faulted runs diverge"
+    );
+    prop_assert_eq!(
+        format!("{a:?}"),
+        format!("{c:?}"),
+        "event-driven vs ticked board faulted runs diverge"
     );
     if let Ok(run) = a {
         match &run.fault {
@@ -660,17 +677,32 @@ fn check_faulted_board_tiers(
                 prop_assert!(!interpreted.board().all_halted())
             }
         }
-        prop_assert_eq!(
-            interpreted.board().bridge_stats(),
-            fast.board().bridge_stats()
-        );
-        prop_assert_eq!(interpreted.board().lane_words(), fast.board().lane_words());
-        for chip in 0..interpreted.board().chips() {
-            let ic = interpreted.board().chip(chip).unwrap();
-            let fc = fast.board().chip(chip).unwrap();
-            prop_assert_eq!(ic.stats(), fc.stats(), "chip {} stats diverge", chip);
-            prop_assert_eq!(ic.column_stats(), fc.column_stats());
+        for other in [&fast, &ticked] {
+            prop_assert_eq!(
+                interpreted.board().bridge_stats(),
+                other.board().bridge_stats()
+            );
+            prop_assert_eq!(interpreted.board().lane_words(), other.board().lane_words());
+            for chip in 0..interpreted.board().chips() {
+                let ic = interpreted.board().chip(chip).unwrap();
+                let oc = other.board().chip(chip).unwrap();
+                prop_assert_eq!(ic.stats(), oc.stats(), "chip {} stats diverge", chip);
+                prop_assert_eq!(ic.column_stats(), oc.column_stats());
+            }
         }
+    }
+    prop_assert_eq!(interpreted_ring.dropped(), 0);
+    let events = interpreted_ring.events();
+    prop_assert!(!events.is_empty(), "the traced run emitted nothing");
+    let ticked_events = ticked_ring.events();
+    prop_assert_eq!(events.len(), ticked_events.len());
+    for (i, (a, b)) in events.iter().zip(&ticked_events).enumerate() {
+        prop_assert_eq!(
+            a,
+            b,
+            "event-driven vs ticked raw board streams differ at event {}",
+            i
+        );
     }
     Ok(())
 }
@@ -762,6 +794,53 @@ fn reference_profiles_emit_identical_event_streams_on_both_tiers() {
         assert!(
             fast.len() <= interpreted.len(),
             "{app:?}: the fast tier must batch, not expand, the stream"
+        );
+    }
+}
+
+/// Tier-divergence pin: a fault scheduled past the tick budget never
+/// fires, so every driver must return plain `execute`'s verdict.  The
+/// fused `deep_pipeline` best mapping at budget 80 (full rate, 8 frames)
+/// halts at tick 299,892,737, past its budget of ten 27,711,120-tick
+/// hyperperiod windows.  The ticked driver is left out: ticking ~3·10⁸
+/// reference ticks one by one is too slow for the suite.
+#[test]
+fn unfired_faults_past_the_budget_return_the_plain_verdict_on_every_tier() {
+    let graph = deep_pipeline();
+    let rate = DEEP_PIPELINE_RATE_HZ;
+    let bus = MapperOptions::default();
+    let comm = CommSpec::from_clock(bus.bus_splits as u32, bus.bus_frequency_hz, rate);
+    let config = ExplorerConfig::new(rate, 80)
+        .with_threads(1)
+        .with_comm(comm);
+    let best = explore(&graph, &config).unwrap().best;
+    let compile_on = |tier| {
+        let options = MapperOptions {
+            iterations: 8,
+            iteration_rate_hz: rate,
+            tier,
+            ..MapperOptions::default()
+        };
+        mapper::compile_explored(&graph, &best, &options).unwrap()
+    };
+    let expect_incomplete = |what: &str, outcome: Result<(), MapperError>| {
+        assert!(
+            matches!(outcome, Err(MapperError::Incomplete { ticks: 277_111_200 })),
+            "{what}: {outcome:?}"
+        );
+    };
+
+    let mut plain = compile_on(ExecutionTier::Interpreted);
+    assert_eq!(plain.hyperperiod(), 27_711_120);
+    expect_incomplete("plain execute", plain.execute().map(drop));
+
+    for tier in [ExecutionTier::Interpreted, ExecutionTier::Fast] {
+        let mut compiled = compile_on(tier);
+        let mut plan = synchroscalar::sim::FaultPlan::none();
+        plan.kill_column(0, 0, 100 * compiled.hyperperiod());
+        expect_incomplete(
+            &format!("{tier:?} execute_faulted"),
+            compiled.execute_faulted(&plan).map(drop),
         );
     }
 }
